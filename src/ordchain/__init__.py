@@ -7,17 +7,14 @@ from .ordinal import (Ordinal, FundamentalSequence, ZERO, ONE, OMEGA,
                       left_subtract, parse_ordinal, format_ordinal)
 from .lazyset import (LazySet, ResourceLimitError, ap, diff, empty, inter,
                       pair, parse_set, piece, rows, union, unpair)
-from .certs import (OrderCertificate, Report, SplitChain, base_chain,
-                    base_cert, compose_certs, default_certificate,
-                    default_interval, embed_ordinal, parse_certificate,
-                    split_interval, tree_child_certs, tree_interval_cert,
-                    tree_node, verify_certificate)
+from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding, Report,
+                    SplitChain, base_cert, compose_certs, default_certificate,
+                    default_interval, parse_certificate, tree_child_certs,
+                    tree_interval_cert, tree_node, verify_certificate)
 from .baire import (BaireFunction, ChainFamily, EmbeddingFamily,
                     ExplicitFamily, FSigmaWitness, IncomparableError,
-                    fsigma_witness, make_baire_function, sample_pairs,
-                    verify_chain_monotone)
+                    fsigma_witness, verify_chain_monotone)
 from .metric import (ContChain, MetricAxiomError, MetricSpace, SeparatedNets,
-                     build_chain, build_nets, parse_space, phi, psi,
-                     witness_points)
+                     parse_space, phi, psi, witness_points)
 
 __version__ = "0.1.0"

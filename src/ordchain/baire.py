@@ -10,11 +10,10 @@ which is what FSigmaWitness records.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .certs import (InvalidCertificateError, OrderCertificate, Report,
+from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     verify_certificate)
 from .lazyset import LazySet
 from .ordinal import Ordinal, compare, format_ordinal
@@ -149,10 +148,6 @@ class BaireFunction:
         return self.evaluate(y)[0]
 
 
-def make_baire_function(family: ChainFamily, pivot) -> BaireFunction:
-    return BaireFunction(family, pivot)
-
-
 @dataclass(frozen=True)
 class FSigmaWitness:
     """Least m with y(n) <= x(n) for all n >= m (indicator comparison).
@@ -194,21 +189,6 @@ def fsigma_witness(x: LazySet, y: LazySet,
     return FSigmaWitness(m)
 
 
-@dataclass
-class ChainReport:
-    lines: List[str]
-    checked: int
-    failed: int
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines + [f"CHECKED {self.checked} FAILED {self.failed}"])
-
-
 def verify_chain_monotone(family: ChainFamily, pairs, depth: int,
                           sample_points=None) -> ChainReport:
     """Check pointwise monotonicity with strict witnesses over index pairs.
@@ -218,30 +198,19 @@ def verify_chain_monotone(family: ChainFamily, pairs, depth: int,
     f_i <= f_j is confirmed on the sampled family points.  One report line
     per pair, sorted deterministically by the given order.
     """
-    lines: List[str] = []
-    failed = 0
+    report = ChainReport()
     points = list(sample_points) if sample_points is not None else []
     for raw_i, raw_j in pairs:
         try:
             c = family.order(raw_i, raw_j)
         except (IncomparableError, UnknownIndexError) as exc:
-            lines.append(f"PAIR {raw_i} {raw_j} FAIL {exc}")
-            failed += 1
+            report.add(f"PAIR {raw_i} {raw_j}", str(exc))
             continue
-        if c == 0:
-            lines.append(f"PAIR {family.label(raw_i)} {family.label(raw_j)} "
-                         "FAIL not strictly comparable")
-            failed += 1
-            continue
-        i, j = (raw_i, raw_j) if c < 0 else (raw_j, raw_i)
-        li, lj = family.label(i), family.label(j)
-        reason = _check_pair(family, i, j, depth, points)
-        if reason is None:
-            lines.append(f"PAIR {li} {lj} OK")
-        else:
-            lines.append(f"PAIR {li} {lj} FAIL {reason}")
-            failed += 1
-    return ChainReport(lines, len(lines), failed)
+        i, j = (raw_i, raw_j) if c <= 0 else (raw_j, raw_i)
+        reason = "not strictly comparable" if c == 0 else \
+            _check_pair(family, i, j, depth, points)
+        report.add(f"PAIR {family.label(i)} {family.label(j)}", reason)
+    return report
 
 
 def _check_pair(family, i, j, depth, points) -> Optional[str]:
@@ -264,16 +233,3 @@ def _check_pair(family, i, j, depth, points) -> Optional[str]:
         if fi(p) > fj(p):
             return f"monotonicity fails at point {family.label(p)}"
     return None
-
-
-def sample_pairs(indices, count: int, rng: random.Random):
-    """Deterministic sample of distinct-index pairs (repetition across the
-    sample allowed)."""
-    indices = list(indices)
-    out = []
-    if len(indices) < 2:
-        return out
-    while len(out) < count:
-        a, b = rng.sample(range(len(indices)), 2)
-        out.append((indices[a], indices[b]))
-    return out

@@ -18,7 +18,7 @@ On top of the certificates this module builds:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
@@ -120,6 +120,40 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
     return Report(True, "OK")
 
 
+@dataclass
+class ChainReport:
+    """A run of checks, one line per check -- `<label> OK` or
+    `<label> FAIL <reason>` -- closed by the tally `CHECKED n FAILED m`."""
+
+    lines: List[str] = field(default_factory=list)
+    failed: int = 0
+
+    def add(self, label: str, reason: Optional[str]) -> str:
+        """Record one check and return its line; `reason` is None for a
+        pass.  An empty label or reason is left out of the line."""
+        words = [label, "OK"] if reason is None else [label, "FAIL", reason]
+        self.lines.append(" ".join(w for w in words if w))
+        if reason is not None:
+            self.failed += 1
+        return self.lines[-1]
+
+    @property
+    def checked(self) -> int:
+        return len(self.lines)
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    @property
+    def tally(self) -> str:
+        return f"CHECKED {self.checked} FAILED {self.failed}"
+
+    @property
+    def text(self) -> str:
+        return "\n".join(self.lines + [self.tally])
+
+
 def compose_certs(c1: OrderCertificate, c2: OrderCertificate) -> OrderCertificate:
     """Transitivity: certificates for (x,y) and (y,z) give one for (x,z).
 
@@ -140,13 +174,7 @@ def compose_certs(c1: OrderCertificate, c2: OrderCertificate) -> OrderCertificat
 
 
 # ---------------------------------------------------------------------------
-# Base chain.
-
-def base_chain(n: int) -> LazySet:
-    """Union of the first n rows of the pairing; rows(0) is empty and every
-    complement is infinite."""
-    return rows(n)
-
+# Base chain: rows(0) < rows(1) < ...
 
 def base_cert(n: int, m: int) -> OrderCertificate:
     if not n < m:
@@ -166,12 +194,11 @@ class SplitChain:
     certificates with infinite surplus at every step.
     """
 
-    def __init__(self, cert: OrderCertificate, validate: bool = True,
-                 validate_depth: int = 4):
+    def __init__(self, cert: OrderCertificate, validate: bool = True):
         if not isinstance(cert.surplus, LazySet):
             raise InvalidCertificateError("split needs a set-backed surplus")
         if validate:
-            r = verify_certificate(cert, validate_depth)
+            r = verify_certificate(cert, 4)
             if not r.ok:
                 raise InvalidCertificateError(f"invalid interval certificate: {r.message}")
         self.cert = cert
@@ -210,18 +237,6 @@ class SplitChain:
         if k < 1:
             raise ValueError("k >= 1")
         return OrderCertificate(self.z(k), self.y, 0, self.slice_piece(k))
-
-
-def split_interval(cert: OrderCertificate, count: int,
-                   validate: bool = True) -> List[Tuple[LazySet, OrderCertificate]]:
-    """First `count` split sets with their step certificates
-    (x below z_1, then z_k below z_{k+1})."""
-    chain = SplitChain(cert, validate=validate)
-    out = []
-    for k in range(1, count + 1):
-        c = chain.cert_lower(1) if k == 1 else chain.cert_step(k - 1)
-        out.append((chain.z(k), c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +279,7 @@ def tree_node(s: TreeAddress) -> LazySet:
     x_{s~a} is the a-th split point of (x_s, x_{s+})."""
     s = normalize_address(s)
     if len(s) == 1:
-        return base_chain(s[0])
+        return rows(s[0])
     return tree_split(s[:-1]).z(s[-1])
 
 
@@ -456,11 +471,6 @@ class OrdinalEmbedding:
             return chain.cert_upper(t + 1)
         return compose_certs(self._sub(t).upper_cert(off),
                              chain.cert_upper(t + 1))
-
-
-def embed_ordinal(bound: Ordinal, interval: OrderCertificate,
-                  validate: bool = True) -> OrdinalEmbedding:
-    return OrdinalEmbedding(bound, interval, validate=validate)
 
 
 def default_interval() -> OrderCertificate:

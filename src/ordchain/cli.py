@@ -11,22 +11,69 @@ import argparse
 import os
 import random
 import sys
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from . import lazyset
 from .baire import EmbeddingFamily, verify_chain_monotone
-from .certs import (InvalidCertificateError, OrderCertificate, SplitChain,
-                    default_certificate, default_interval, embed_ordinal,
-                    parse_certificate, tree_child_certs, tree_node,
-                    verify_certificate)
+from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
+                    OrdinalEmbedding, SplitChain, default_certificate,
+                    default_interval, parse_certificate, tree_child_certs,
+                    tree_node, verify_certificate)
 from .lazyset import ResourceLimitError, SetParseError, parse_set
-from .metric import (MetricAxiomError, SpaceParseError, build_chain,
+from .metric import (ContChain, MetricAxiomError, SpaceParseError,
                      format_eval, load_space)
-from .ordinal import (Ordinal, OrdinalParseError, format_ordinal,
-                      parse_ordinal)
+from .ordinal import OrdinalParseError, format_ordinal, parse_ordinal
 from .sampling import sample_comparable_pairs
 
 USAGE_ERROR = 2
+
+
+def _naturals(text: str) -> Optional[Tuple[int, ...]]:
+    """'n,n,...' as a tuple of naturals, or None if it is not one."""
+    fields = [f.strip() for f in text.split(",")]
+    return tuple(map(int, fields)) if all(map(str.isdecimal, fields)) else None
+
+
+def _input_problem(args) -> Optional[str]:
+    """Why TC_DEPTH_CAP or the parsed arguments cannot be used, or None.
+    Sets the depth cap and turns --address and --eval into naturals."""
+    cap = os.environ.get("TC_DEPTH_CAP")
+    if cap is not None:
+        try:
+            lazyset.set_depth_cap(int(cap))
+        except ValueError:
+            return f"bad TC_DEPTH_CAP: {cap!r}"
+    for flag, least in (("depth", 1), ("count", 1), ("truncate", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            return f"--{flag} must be >= {least}"
+    if args.command == "tree":
+        args.address = _naturals(args.address)
+        if args.address is None:
+            return "--address needs comma-separated naturals"
+        if not 0 < args.a < args.b:
+            return "need 0 < a < b"
+    if args.command == "cont" and args.eval is not None:
+        args.eval = _naturals(args.eval)
+        if args.eval is None or len(args.eval) != 2:
+            return "--eval needs two naturals D,X"
+    return None
+
+
+def _report(checks: Iterable[Tuple[str, Optional[str]]]) -> int:
+    """Print each check's line as soon as the check is done, then the tally.
+    A later check may raise; the lines before it are out by then."""
+    report = ChainReport()
+    for label, reason in checks:
+        print(report.add(label, reason))
+    print(report.tally)
+    return 0 if report.ok else 1
+
+
+def _probe(cert: OrderCertificate, depth: int) -> Optional[str]:
+    """None if `cert` survives `depth` probes, else why it does not."""
+    r = verify_certificate(cert, depth)
+    return None if r.ok else r.message
 
 
 def _split_interval_arg(text: str):
@@ -49,31 +96,20 @@ def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
     return default_certificate(parse_set(lo), parse_set(hi), bound)
 
 
-def _label(a: Ordinal) -> str:
-    return format_ordinal(a, compact=True)
-
-
 def cmd_embed(args) -> int:
     xi = parse_ordinal(args.ordinal)
-    cert = _interval_cert(args.interval, args.bound)
-    embedding = embed_ordinal(xi, cert)
+    embedding = OrdinalEmbedding(xi, _interval_cert(args.interval, args.bound))
     pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \
         if not xi.is_zero() else []
-    failed = 0
-    for a, b in pairs:
-        r = verify_certificate(embedding.cert(a, b), args.depth)
-        if r.ok:
-            print(f"PAIR {_label(a)} {_label(b)} OK")
-        else:
-            print(f"PAIR {_label(a)} {_label(b)} FAIL {r.message}")
-            failed += 1
-    print(f"CHECKED {len(pairs)} FAILED {failed}")
-    return 0 if failed == 0 else 1
+    return _report((f"PAIR {format_ordinal(a, compact=True)} "
+                    f"{format_ordinal(b, compact=True)}",
+                    _probe(embedding.cert(a, b), args.depth))
+                   for a, b in pairs)
 
 
 def cmd_baire(args) -> int:
     xi = parse_ordinal(args.ordinal)
-    embedding = embed_ordinal(xi, default_interval())
+    embedding = OrdinalEmbedding(xi, default_interval())
     pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \
         if not xi.is_zero() else []
     indices = sorted({a for p in pairs for a in p})
@@ -84,93 +120,67 @@ def cmd_baire(args) -> int:
     return 0 if report.ok else 1
 
 
+def _pair_failure(table, d: int, e: int) -> Optional[str]:
+    """Why f_d <= f_e, strict at d, fails on the value table, or None."""
+    if any(vd > ve for vd, ve in zip(table[d], table[e])):
+        return "monotonicity"
+    if not table[d][d] < table[e][d]:
+        return "strictness"
+    return None
+
+
 def cmd_cont(args) -> int:
     space = load_space(args.space)
-    chain = build_chain(space)
+    chain = ContChain(space)
     if args.eval is not None:
-        d_str, x_str = args.eval.split(",")
-        d, x = int(d_str), int(x_str)
-        if not (0 <= d < space.n and 0 <= x < space.n):
+        d, x = args.eval
+        if not (d < space.n and x < space.n):
             raise SpaceParseError("eval indices out of range")
         value, tail = chain.eval(d, x, truncate=args.truncate)
         print(format_eval(d, x, value, tail))
     if args.check_all:
         table = chain.value_table()
-        failed = checked = 0
-        for pd in range(space.n):
-            for pe in range(pd + 1, space.n):
-                d, e = space.order[pd], space.order[pe]
-                checked += 1
-                if any(table[d][x] > table[e][x] for x in range(space.n)):
-                    print(f"PAIR {d} {e} FAIL monotonicity")
-                    failed += 1
-                elif not table[d][d] < table[e][d]:
-                    print(f"PAIR {d} {e} FAIL strictness")
-                    failed += 1
-                else:
-                    print(f"PAIR {d} {e} OK")
-        print(f"CHECKED {checked} FAILED {failed}")
-        if failed:
-            return 1
+        order = space.order
+        return _report((f"PAIR {d} {e}", _pair_failure(table, d, e))
+                       for pd, d in enumerate(order) for e in order[pd + 1:])
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.depth < 1:
-        print("verify: --depth must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     with open(args.cert, encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
-    r = verify_certificate(cert, args.depth)
-    print("OK" if r.ok else f"FAIL {r.message}")
-    return 0 if r.ok else 1
+    report = ChainReport()
+    print(report.add("", _probe(cert, args.depth)))
+    return 0 if report.ok else 1
 
 
 def cmd_split(args) -> int:
-    cert = _interval_cert(args.interval, args.bound)
-    chain = SplitChain(cert)
-    failed = 0
+    chain = SplitChain(_interval_cert(args.interval, args.bound))
     for k in range(1, args.count + 1):
         print(f"Z {k} {chain.z(k).expr}")
     checks = [("x", "z1", chain.cert_lower(1))]
     checks += [(f"z{k}", f"z{k + 1}", chain.cert_step(k))
                for k in range(1, args.count)]
     checks.append((f"z{args.count}", "y", chain.cert_upper(args.count)))
-    for lo, hi, c in checks:
-        r = verify_certificate(c, args.depth)
-        if r.ok:
-            print(f"PAIR {lo} {hi} OK")
-        else:
-            print(f"PAIR {lo} {hi} FAIL {r.message}")
-            failed += 1
-    print(f"CHECKED {len(checks)} FAILED {failed}")
-    return 0 if failed == 0 else 1
+    return _report((f"PAIR {lo} {hi}", _probe(c, args.depth))
+                   for lo, hi, c in checks)
 
 
 def cmd_tree(args) -> int:
-    try:
-        address = tuple(int(f) for f in args.address.split(","))
-    except ValueError as exc:
-        raise SetParseError(f"bad address: {exc}") from exc
-    if not 0 < args.a < args.b:
-        print("tree: need 0 < a < b", file=sys.stderr)
-        return USAGE_ERROR
-    node = tree_node(address)
+    node = tree_node(args.address)
     print(f"NODE {node.expr}")
-    zero_ext = tree_node(address + (0,))
-    print(f"EXTEND0 {'OK' if zero_ext.expr == node.expr else 'FAIL'}")
-    labels = [("s", f"s~{args.a}"), (f"s~{args.a}", f"s~{args.b}"),
-              (f"s~{args.b}", "s+")]
-    failed = 0 if zero_ext.expr == node.expr else 1
-    for (lo, hi), c in zip(labels, tree_child_certs(address, args.a, args.b)):
-        r = verify_certificate(c, args.depth)
-        if r.ok:
-            print(f"PAIR {lo} {hi} OK")
-        else:
-            print(f"PAIR {lo} {hi} FAIL {r.message}")
-            failed += 1
-    print(f"CHECKED {len(labels) + 1} FAILED {failed}")
-    return 0 if failed == 0 else 1
+
+    # a generator, so EXTEND0 is out before tree_child_certs can raise
+    def checks():
+        extends = tree_node(args.address + (0,)).expr == node.expr
+        yield "EXTEND0", None if extends else ""
+        labels = [("s", f"s~{args.a}"), (f"s~{args.a}", f"s~{args.b}"),
+                  (f"s~{args.b}", "s+")]
+        certs = tree_child_certs(args.address, args.a, args.b)
+        for (lo, hi), c in zip(labels, certs):
+            yield f"PAIR {lo} {hi}", _probe(c, args.depth)
+
+    return _report(checks())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,15 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    cap = os.environ.get("TC_DEPTH_CAP")
-    if cap is not None:
-        try:
-            lazyset.set_depth_cap(int(cap))
-        except ValueError:
-            print(f"bad TC_DEPTH_CAP: {cap!r}", file=sys.stderr)
-            return USAGE_ERROR
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    problem = _input_problem(args)
+    if problem is not None:
+        print(f"{args.command}: {problem}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
     except (OrdinalParseError, SetParseError, SpaceParseError) as exc:
@@ -244,10 +250,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
-    except MetricAxiomError as exc:
-        print(f"FAIL {exc}")
-        return 1
-    except (InvalidCertificateError, ResourceLimitError) as exc:
+    except (MetricAxiomError, InvalidCertificateError,
+            ResourceLimitError) as exc:
         print(f"FAIL {exc}")
         return 1
 

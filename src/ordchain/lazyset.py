@@ -20,7 +20,6 @@ identical.
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -34,7 +33,7 @@ class ResourceLimitError(RuntimeError):
     """An expression exceeded a configured depth or scan budget."""
 
 
-_DEPTH_CAP = int(os.environ.get("TC_DEPTH_CAP", "10000"))
+_DEPTH_CAP = 10000
 _SCAN_CAP = 1 << 27
 _CACHE_BUDGET = 1 << 30
 _cached_bytes = 0
@@ -56,13 +55,6 @@ def set_scan_cap(cap: int) -> None:
     if cap < 1024:
         raise ValueError("scan cap too small")
     _SCAN_CAP = cap
-
-
-def set_cache_budget(n_bytes: int) -> None:
-    global _CACHE_BUDGET
-    if n_bytes < 1 << 20:
-        raise ValueError("cache budget too small")
-    _CACHE_BUDGET = n_bytes
 
 
 def purge_caches() -> None:
@@ -160,17 +152,15 @@ class LazySet:
         return _slow_members(self, n)
 
 
-def _make(kind, nats, children, expr_fmt):
-    expr = expr_fmt
+def _make(kind, nats, children, expr):
     node = _INTERN.get(expr)
-    if node is not None:
-        return node
-    depth = 1 + max((c.depth for c in children), default=0)
-    if depth > _DEPTH_CAP:
-        raise ResourceLimitError(f"expression depth {depth} exceeds cap {_DEPTH_CAP}")
-    node = LazySet(kind, nats, children, expr, depth)
-    _INTERN[expr] = node
-    return node
+    if node is None:
+        depth = 1 + max((c.depth for c in children), default=0)
+        node = LazySet(kind, nats, children, expr, depth)
+    # checked on a hit too: the cap may have been lowered since
+    if node.depth > _DEPTH_CAP:
+        raise ResourceLimitError(f"expression depth {node.depth} exceeds cap {_DEPTH_CAP}")
+    return _INTERN.setdefault(expr, node)
 
 
 def empty() -> LazySet:

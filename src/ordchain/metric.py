@@ -47,6 +47,9 @@ class MetricSpace:
         self.pos = [0] * self.n
         for p, idx in enumerate(self.order):
             self.pos[idx] = p
+        for i, j in self._d:
+            if not 0 <= i < j < self.n:
+                raise SpaceParseError(f"distance for pair {i} {j}: no such pair of points")
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if (i, j) not in self._d:
@@ -125,15 +128,6 @@ class SeparatedNets:
         return bad
 
 
-def build_nets(space: MetricSpace, levels: int) -> SeparatedNets:
-    violations = space.validate()
-    if violations:
-        raise MetricAxiomError(violations[0])
-    nets = SeparatedNets(space)
-    nets.level(max(levels - 1, 0))
-    return nets
-
-
 def phi(space: MetricSpace, nets: SeparatedNets, n: int, c: int, x: int) -> Fraction:
     """Bump of height 2^(-n) at center c, clipped at zero."""
     if c not in nets.level(n):
@@ -205,10 +199,6 @@ class ContChain:
         """table[d][x] = exact f_d(x)."""
         return [[self.eval(d, x)[0] for x in range(self.space.n)]
                 for d in range(self.space.n)]
-
-
-def build_chain(space: MetricSpace) -> ContChain:
-    return ContChain(space)
 
 
 @dataclass

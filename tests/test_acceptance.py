@@ -15,14 +15,13 @@ from fractions import Fraction
 import pytest
 
 from ordchain.baire import (EmbeddingFamily, FSigmaWitness, fsigma_witness,
-                            sample_pairs, verify_chain_monotone)
-from ordchain.certs import (SplitChain, base_cert, compose_certs,
-                            default_certificate, default_interval,
-                            embed_ordinal, tree_child_certs, tree_node,
+                            verify_chain_monotone)
+from ordchain.certs import (OrdinalEmbedding, SplitChain, base_cert,
+                            compose_certs, default_certificate,
+                            default_interval, tree_child_certs, tree_node,
                             verify_certificate)
 from ordchain.lazyset import ap, diff
-from ordchain.metric import (LocalityError, MetricSpace, build_chain,
-                             build_nets, psi)
+from ordchain.metric import ContChain, LocalityError, MetricSpace, psi
 from ordchain.ordinal import (LT, Ordinal, add, classify, compare,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
@@ -52,7 +51,7 @@ def test_criterion_1_continuous_chain_50_points(announce):
     rng = random.Random(101)
     start = time.monotonic()
     ms = random_1d_space(rng, 50)
-    table = build_chain(ms).value_table()
+    table = ContChain(ms).value_table()
     bad = 0
     pairs = 0
     for pd in range(50):
@@ -71,7 +70,7 @@ def test_criterion_1_continuous_chain_50_points(announce):
 
 def test_criterion_2_range_bound_attained(announce):
     ms = MetricSpace.from_points_1d([F(0), F(1)])
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     value, tail = chain.eval(1, 0)
     ok = value == F(2) and tail == 0
     announce(2, ok, f"two-point upper function attains 2 exactly "
@@ -85,7 +84,7 @@ def test_criterion_3_net_invariants(announce):
     for trial in range(20):
         n = rng.randint(2, 100)
         ms = random_1d_space(rng, n)
-        chain = build_chain(ms)
+        chain = ContChain(ms)
         nets = chain.nets
         for level in range(chain.stable_level + 2):
             violations += len(nets.check_level(level))
@@ -115,7 +114,7 @@ def test_criterion_4_ordinal_embeddings(announce):
     for text in ordinals:
         xi = parse_ordinal(text)
         start = time.monotonic()
-        emb = embed_ordinal(xi, default_interval())
+        emb = OrdinalEmbedding(xi, default_interval())
         rng = random.Random(104)
         for a, b in sample_comparable_pairs(xi, 200, rng):
             r = verify_certificate(emb.cert(a, b), 32)
@@ -149,7 +148,7 @@ def test_criterion_5_tree_discipline(announce):
 
 def test_criterion_6_baire_chain(announce):
     xi = parse_ordinal("w^(2)")
-    emb = embed_ordinal(xi, default_interval())
+    emb = OrdinalEmbedding(xi, default_interval())
     rng = random.Random(106)
     pairs = sample_comparable_pairs(xi, 100, rng)
     indices = sorted({a for p in pairs for a in p})
@@ -191,7 +190,7 @@ def test_criterion_7_oracle_equivalence(announce):
         certs.extend(tree_child_certs(s, a, a + 1))
     for text in ["w^(2)", "w^(2)+w*3+5"]:
         xi = parse_ordinal(text)
-        emb = embed_ordinal(xi, default_interval())
+        emb = OrdinalEmbedding(xi, default_interval())
         for a, b in sample_comparable_pairs(xi, 90, rng):
             certs.append(emb.cert(a, b))
     base = SplitChain(default_interval())

@@ -7,11 +7,10 @@ import pytest
 
 from ordchain.baire import (BaireFunction, EmbeddingFamily, ExplicitFamily,
                             FSigmaWitness, UnknownIndexError, fsigma_witness,
-                            make_baire_function, sample_pairs,
                             verify_chain_monotone)
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            default_certificate, default_interval,
-                            embed_ordinal)
+                            OrdinalEmbedding, default_certificate,
+                            default_interval)
 from ordchain.lazyset import ap, diff, inter, union
 from ordchain.ordinal import Ordinal, parse_ordinal
 
@@ -21,7 +20,7 @@ NATS = ap(1, 0)
 
 
 def omega_family(upto=8):
-    emb = embed_ordinal(parse_ordinal("w"), default_interval())
+    emb = OrdinalEmbedding(parse_ordinal("w"), default_interval())
     indices = [Ordinal.from_int(k) for k in range(upto)]
     return EmbeddingFamily(emb, indices), indices
 
@@ -31,14 +30,14 @@ def omega_family(upto=8):
 
 def test_self_evaluates_to_zero():
     family, idx = omega_family()
-    f = make_baire_function(family, idx[5])
+    f = BaireFunction(family, idx[5])
     value, just = f.evaluate(idx[5])
     assert value == 0 and just.reason == "self" and just.certificate is None
 
 
 def test_below_evaluates_to_one_with_certificate():
     family, idx = omega_family()
-    f = make_baire_function(family, idx[5])
+    f = BaireFunction(family, idx[5])
     value, just = f.evaluate(idx[3])
     assert value == 1 and just.reason == "below"
     assert just.certificate.lower.expr == family.member(idx[3]).expr
@@ -47,7 +46,7 @@ def test_below_evaluates_to_one_with_certificate():
 
 def test_above_evaluates_to_zero_with_certificate():
     family, idx = omega_family()
-    f = make_baire_function(family, idx[3])
+    f = BaireFunction(family, idx[3])
     value, just = f.evaluate(idx[5])
     assert value == 0 and just.reason == "above"
     assert just.certificate is not None
@@ -55,11 +54,11 @@ def test_above_evaluates_to_zero_with_certificate():
 
 def test_unknown_index_is_an_error():
     family, idx = omega_family()
-    f = make_baire_function(family, idx[2])
+    f = BaireFunction(family, idx[2])
     with pytest.raises(UnknownIndexError):
         f.evaluate(Ordinal.from_int(99))
     with pytest.raises(UnknownIndexError):
-        make_baire_function(family, Ordinal.from_int(99))
+        BaireFunction(family, Ordinal.from_int(99))
 
 
 def test_every_value_is_justified():
@@ -120,7 +119,8 @@ def test_fsigma_rejects_mismatched_certificate():
 
 def test_chain_report_on_embedding():
     family, idx = omega_family()
-    pairs = sample_pairs(idx, 20, random.Random(5))
+    rng = random.Random(5)
+    pairs = [tuple(rng.sample(idx, 2)) for _ in range(20)]
     report = verify_chain_monotone(family, pairs, depth=16,
                                    sample_points=idx[:4])
     assert report.ok, report.text
@@ -183,12 +183,3 @@ def test_chain_monotone_on_sample_points():
         fj = BaireFunction(family, idx[j])
         assert all(fi(p) <= fj(p) for p in idx)
         assert fi(idx[i]) == 0 and fj(idx[i]) == 1
-
-
-def test_sample_pairs_deterministic():
-    idx = list(range(10))
-    a = sample_pairs(idx, 15, random.Random(3))
-    b = sample_pairs(idx, 15, random.Random(3))
-    assert a == b
-    assert all(x != y for x, y in a)
-    assert sample_pairs([1], 5, random.Random(0)) == []

@@ -6,14 +6,14 @@ import random
 import pytest
 
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            SplitChain, base_cert, base_chain, compose_certs,
-                            default_certificate, default_interval,
-                            embed_ordinal, normalize_address,
-                            parse_certificate, split_interval,
-                            tree_child_certs, tree_interval_cert, tree_node,
+                            OrdinalEmbedding, SplitChain, base_cert,
+                            compose_certs, default_certificate,
+                            default_interval, normalize_address,
+                            parse_certificate, tree_child_certs,
+                            tree_interval_cert, tree_node,
                             verify_certificate)
-from ordchain.lazyset import (SetParseError, ap, diff, inter, parse_set,
-                              piece, rows, union)
+from ordchain.lazyset import (SetParseError, ap, diff, empty, inter,
+                              parse_set, piece, rows, union)
 from ordchain.ordinal import Ordinal, compare, parse_ordinal
 from ordchain.sampling import sample_comparable_pairs
 
@@ -162,8 +162,8 @@ def test_parse_certificate_rejects_garbage():
 # Base chain.
 
 def test_base_chain_values():
-    assert base_chain(0) is rows(0)
-    assert base_chain(1).members_upto(9) == [0, 2, 4, 6, 8]
+    assert rows(0) is empty()
+    assert rows(1).members_upto(9) == [0, 2, 4, 6, 8]
     c = base_cert(1, 2)
     assert c.surplus_elements(3) == [1, 5, 9]
     assert c.bound == 0
@@ -218,14 +218,6 @@ def test_split_keeps_exception_bound():
     assert_valid(chain.cert_lower(2))
 
 
-def test_split_interval_convenience():
-    out = split_interval(base_cert(0, 1), 3)
-    assert len(out) == 3
-    for z, c in out:
-        assert_valid(c)
-    assert out[1][0].expr == out[1][1].upper.expr
-
-
 def test_split_rejects_invalid_interval():
     with pytest.raises(InvalidCertificateError):
         SplitChain(default_certificate(EVENS, MULT4, 0))
@@ -254,7 +246,7 @@ def test_tree_zero_extension_is_identity():
 
 
 def test_tree_base_level():
-    assert tree_node((2,)) is base_chain(2)
+    assert tree_node((2,)) is rows(2)
     assert_valid(tree_interval_cert((2,)))
 
 
@@ -299,7 +291,7 @@ def test_tree_discipline_random():
 # Ordinal embeddings.
 
 def test_embed_finite_chain():
-    emb = embed_ordinal(Ordinal.from_int(3), default_interval())
+    emb = OrdinalEmbedding(Ordinal.from_int(3), default_interval())
     sets = [emb.member(Ordinal.from_int(k)) for k in range(3)]
     m = [set(s.members_upto(4000)) for s in sets]
     assert m[0] < m[1] < m[2]
@@ -309,14 +301,14 @@ def test_embed_finite_chain():
 
 
 def test_embed_omega_plus_one_upper_bound():
-    emb = embed_ordinal(parse_ordinal("w+1"), default_interval())
+    emb = OrdinalEmbedding(parse_ordinal("w+1"), default_interval())
     top = parse_ordinal("w")
     for k in range(0, 21, 4):
         assert_valid(emb.cert(Ordinal.from_int(k), top))
 
 
 def test_embed_requires_order():
-    emb = embed_ordinal(parse_ordinal("w"), default_interval())
+    emb = OrdinalEmbedding(parse_ordinal("w"), default_interval())
     with pytest.raises(ValueError):
         emb.cert(Ordinal.from_int(2), Ordinal.from_int(2))
     with pytest.raises(KeyError):
@@ -326,19 +318,19 @@ def test_embed_requires_order():
 
 
 def test_embed_zero_is_empty():
-    emb = embed_ordinal(Ordinal(), default_interval())
+    emb = OrdinalEmbedding(Ordinal(), default_interval())
     with pytest.raises(KeyError):
         emb.member(Ordinal())
 
 
 def test_embed_rejects_invalid_interval():
     with pytest.raises(InvalidCertificateError):
-        embed_ordinal(parse_ordinal("w"),
-                      default_certificate(EVENS, MULT4, 0))
+        OrdinalEmbedding(parse_ordinal("w"),
+                         default_certificate(EVENS, MULT4, 0))
 
 
 def test_embed_interval_endpoints_certified():
-    emb = embed_ordinal(parse_ordinal("w^(2)"), default_interval())
+    emb = OrdinalEmbedding(parse_ordinal("w^(2)"), default_interval())
     for text in ["0", "5", "w", "w*2+3"]:
         a = parse_ordinal(text)
         lo = emb.lower_cert(a)
@@ -352,7 +344,7 @@ def test_embed_interval_endpoints_certified():
 def test_embed_order_preserving_sampled():
     rng = random.Random(41)
     xi = parse_ordinal("w^(2)+w*3+5")
-    emb = embed_ordinal(xi, default_interval())
+    emb = OrdinalEmbedding(xi, default_interval())
     for a, b in sample_comparable_pairs(xi, 30, rng):
         c = emb.cert(a, b)
         assert c.lower.expr == emb.member(a).expr
@@ -361,14 +353,14 @@ def test_embed_order_preserving_sampled():
 
 
 def test_embed_memoizes_members():
-    emb = embed_ordinal(parse_ordinal("w^(2)"), default_interval())
+    emb = OrdinalEmbedding(parse_ordinal("w^(2)"), default_interval())
     a = parse_ordinal("w+1")
     assert emb.member(a) is emb.member(a)
 
 
 def test_embed_into_nontrivial_interval():
     cert = default_certificate(MULT4, EVENS, 0)
-    emb = embed_ordinal(parse_ordinal("w*2"), cert)
+    emb = OrdinalEmbedding(parse_ordinal("w*2"), cert)
     a, b = parse_ordinal("3"), parse_ordinal("w+1")
     assert_valid(emb.cert(a, b))
     assert_valid(emb.lower_cert(b))

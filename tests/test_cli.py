@@ -1,8 +1,14 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from ordchain.cli import main
+import ordchain
+from ordchain.cli import USAGE_ERROR, main
 
 TWO_POINT = """\
 points 2
@@ -28,6 +34,100 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def run_fresh(*argv, **env):
+    """Run the CLI in a new interpreter, so no set interned by an earlier
+    test, and no cap it set, can change the outcome."""
+    src = str(Path(ordchain.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ordchain.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=120)
+
+
+# ---------------------------------------------------------------------------
+# golden output: exit code and the whole of stdout, byte for byte
+
+GOLDEN_FILES = {
+    "two.space": TWO_POINT,
+    "four.space": "points 4\ndist 0 1 3/1\ndist 0 2 7/1\ndist 0 3 12/1\n"
+                  "dist 1 2 4/1\ndist 1 3 9/1\ndist 2 3 5/1\norder 2 0 3 1\n",
+    "triangle.space": "points 3\ndist 0 1 5/1\ndist 0 2 1/1\ndist 1 2 1/1\n"
+                      "order 0 1 2\n",
+    "good.cert": "cert{m=0, lower=ap(4,0), upper=ap(2,0)}\n",
+    "bad.cert": "cert{m=0, lower=ap(4,0), upper=inter(ap(2,0),ap(1,1))}\n",
+}
+
+GOLDEN = [
+    pytest.param(
+        ["embed", "--ordinal", "w^(2)+1", "--pairs", "4", "--depth", "8",
+         "--seed", "3"], 0,
+        "PAIR 1 2 OK\nPAIR w*2 w^(2) OK\nPAIR 3 w^(2) OK\nPAIR w w^(2) OK\n"
+        "CHECKED 4 FAILED 0\n", id="embed"),
+    pytest.param(
+        ["embed", "--ordinal", "w", "--interval", "ap(4,0),ap(2,0)",
+         "--pairs", "3", "--depth", "8"], 0,
+        "PAIR 1 2 OK\nPAIR 1 3 OK\nPAIR 2 3 OK\nCHECKED 3 FAILED 0\n",
+        id="embed-interval"),
+    pytest.param(
+        ["embed", "--ordinal", "w", "--interval", "ap(2,0),ap(4,0)"], 1,
+        "FAIL invalid interval certificate: surplus exhausted: found only 0 "
+        "elements of diff(ap(4,0),ap(2,0)) below 134217728\n",
+        id="embed-invalid-interval"),
+    pytest.param(
+        ["baire", "--ordinal", "w*2", "--pairs", "4", "--depth", "8"], 0,
+        "PAIR 2 w+1 OK\nPAIR 1 3 OK\nPAIR 1 w OK\nPAIR 2 w OK\n"
+        "CHECKED 4 FAILED 0\n", id="baire"),
+    pytest.param(
+        ["split", "--count", "2", "--depth", "8"], 0,
+        "Z 1 union(inter(empty,rows(1)),piece(diff(rows(1),empty),0))\n"
+        "Z 2 union(union(inter(empty,rows(1)),piece(diff(rows(1),empty),0)),"
+        "piece(diff(rows(1),empty),1))\n"
+        "PAIR x z1 OK\nPAIR z1 z2 OK\nPAIR z2 y OK\nCHECKED 3 FAILED 0\n",
+        id="split"),
+    pytest.param(
+        ["tree", "--address", "1,2", "--a", "1", "--b", "3", "--depth", "8"], 0,
+        "NODE union(union(inter(rows(1),rows(2)),piece(diff(rows(2),rows(1)),0)),"
+        "piece(diff(rows(2),rows(1)),1))\n"
+        "EXTEND0 OK\nPAIR s s~1 OK\nPAIR s~1 s~3 OK\nPAIR s~3 s+ OK\n"
+        "CHECKED 4 FAILED 0\n", id="tree"),
+    pytest.param(["verify", "--cert", "good.cert", "--depth", "64"], 0,
+                 "OK\n", id="verify-good"),
+    pytest.param(["verify", "--cert", "bad.cert"], 1,
+                 "FAIL element 0\n", id="verify-bad"),
+    pytest.param(["cont", "--space", "two.space", "--eval", "1,0"], 0,
+                 "f 1 at 0 = 2/1 (+/- 0)\n", id="cont-eval"),
+    pytest.param(["cont", "--space", "two.space", "--eval", "1,0",
+                  "--truncate", "3"], 0,
+                 "f 1 at 0 = 7/4 (+/- 1/4)\n", id="cont-truncate"),
+    pytest.param(
+        ["cont", "--space", "four.space", "--check-all"], 0,
+        "PAIR 2 0 OK\nPAIR 2 3 OK\nPAIR 2 1 OK\nPAIR 0 3 OK\nPAIR 0 1 OK\n"
+        "PAIR 3 1 OK\nCHECKED 6 FAILED 0\n", id="cont-check-all"),
+    pytest.param(["cont", "--space", "triangle.space", "--check-all"], 1,
+                 "FAIL triangle 0 1 2\n", id="cont-triangle"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", GOLDEN)
+def test_golden_output(capsys, tmp_path, monkeypatch, argv, code, out):
+    for name, text in GOLDEN_FILES.items():
+        write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+def test_golden_output_streams_until_depth_cap():
+    proc = run_fresh("embed", "--ordinal", "w^(w)", "--pairs", "40",
+                     "--depth", "4", TC_DEPTH_CAP="20")
+    assert (proc.returncode, proc.stdout) == (1, (
+        "PAIR w^(3)*2+3 w^(3)*2+w^(2)*2 OK\n"
+        "PAIR w*2+3 w^(4) OK\n"
+        "PAIR w^(2) w^(2)*2 OK\n"
+        "FAIL expression depth 21 exceeds cap 20\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +335,38 @@ def test_bad_depth_cap_env(capsys, monkeypatch):
     assert "TC_DEPTH_CAP" in err
 
 
+def test_bad_depth_cap_env_before_import():
+    proc = run_fresh("embed", "--ordinal", "0", TC_DEPTH_CAP="bogus")
+    assert proc.returncode == 2
+    assert "TC_DEPTH_CAP" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_depth_cap_env_applies(capsys, monkeypatch):
     import ordchain.lazyset as lazyset
-    old = lazyset.depth_cap()
     monkeypatch.setenv("TC_DEPTH_CAP", "50000")
-    try:
-        code, _, _ = run(capsys, "embed", "--ordinal", "0")
-        assert code == 0
-        assert lazyset.depth_cap() == 50000
-    finally:
-        lazyset.set_depth_cap(old)
+    code, _, _ = run(capsys, "embed", "--ordinal", "0")
+    assert code == 0
+    assert lazyset.depth_cap() == 50000
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--ordinal", "w", "--depth", "0"],
+    ["baire", "--ordinal", "w", "--depth", "0"],
+    ["split", "--depth", "0"],
+    ["tree", "--address", "1", "--depth", "0"],
+    ["split", "--count", "0"],
+    ["cont", "--space", "two.space", "--eval", "1"],
+    ["cont", "--space", "two.space", "--eval", "1,0", "--truncate", "-1"],
+    ["tree", "--address", "-1"],
+    ["cont", "--space", "far.space", "--eval", "0,1"],
+], ids=["embed-depth", "baire-depth", "split-depth", "tree-depth",
+        "split-count", "cont-eval", "cont-truncate", "tree-address",
+        "space-point-range"])
+def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    write(tmp_path, "two.space", TWO_POINT)
+    write(tmp_path, "far.space", TWO_POINT + "dist 0 5 1/1\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err

@@ -135,37 +135,37 @@ def test_slow_oracle_agrees_with_fast_path():
 def test_first_n_raises_on_finite_set():
     finite = diff(ap(1, 0), ap(1, 3))           # {0, 1, 2}
     assert finite.members_upto(100) == [0, 1, 2]
-    old = lazyset._SCAN_CAP
     lazyset.set_scan_cap(1 << 14)
-    try:
-        with pytest.raises(ResourceLimitError):
-            finite.first_n(4)
-    finally:
-        lazyset.set_scan_cap(old)
+    with pytest.raises(ResourceLimitError):
+        finite.first_n(4)
 
 
 def test_scan_cap_enforced():
-    old = lazyset._SCAN_CAP
     lazyset.set_scan_cap(1 << 12)
-    try:
-        with pytest.raises(ResourceLimitError):
-            ap(2, 0).bits(1 << 13)
-    finally:
-        lazyset.set_scan_cap(old)
+    with pytest.raises(ResourceLimitError):
+        ap(2, 0).bits(1 << 13)
 
 
 def test_depth_cap_enforced():
-    old = lazyset.depth_cap()
-    lazyset.set_depth_cap(10)
-    try:
-        s = ap(1, 0)
-        with pytest.raises(ResourceLimitError):
-            for i in range(40):
-                s = union(s, ap(1, i))
-    finally:
-        lazyset.set_depth_cap(old)
     with pytest.raises(ValueError):
         lazyset.set_depth_cap(0)
+    lazyset.set_depth_cap(10)
+    s = ap(1, 0)
+    with pytest.raises(ResourceLimitError):
+        for i in range(40):
+            s = union(s, ap(1, i))
+
+
+def test_depth_cap_holds_for_interned_sets():
+    s = ap(1, 0)
+    for i in range(12):
+        s = union(s, ap(1, i))
+    assert s.depth == 13
+    lazyset.set_depth_cap(10)
+    with pytest.raises(ResourceLimitError):
+        union(s.children[0], s.children[1])
+    with pytest.raises(ResourceLimitError):
+        parse_set(s.expr)
 
 
 def test_purge_caches_is_invisible():

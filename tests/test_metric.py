@@ -8,8 +8,8 @@ import pytest
 
 from ordchain.metric import (ContChain, LocalityError, MetricAxiomError,
                              MetricSpace, SeparatedNets, SpaceParseError,
-                             build_chain, build_nets, format_eval,
-                             parse_space, phi, psi, witness_points)
+                             format_eval, parse_space, phi, psi,
+                             witness_points)
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_dist_and_precedes():
 
 def test_two_point_net_levels():
     # thresholds 4, 2, 1, 1/2 against distance 1
-    nets = build_nets(two_point_space(), 4)
+    nets = SeparatedNets(two_point_space())
     assert nets.level(0) == [0]
     assert nets.level(1) == [0]
     assert nets.level(2) == [0, 1]
@@ -75,14 +75,14 @@ def test_two_point_net_levels():
 
 
 def test_singleton_net():
-    nets = build_nets(MetricSpace.from_points_1d([F(7)]), 3)
+    nets = SeparatedNets(MetricSpace.from_points_1d([F(7)]))
     for n in range(3):
         assert nets.level(n) == [0]
 
 
 def test_net_saturates_below_min_distance():
     ms = MetricSpace.from_points_1d([F(0), F(1, 2), F(2)])
-    nets = build_nets(ms, 6)
+    nets = SeparatedNets(ms)
     # 2^{2-n} <= 1/2 from n = 3 on
     assert nets.level(3) == [0, 1, 2]
     assert nets.level(5) == [0, 1, 2]
@@ -92,7 +92,7 @@ def test_net_invariants_random():
     rng = random.Random(17)
     for _ in range(10):
         ms = random_space(rng, rng.randint(2, 12))
-        nets = build_nets(ms, 1)
+        nets = SeparatedNets(ms)
         top = ContChain(ms).stable_level
         for n in range(top + 2):
             assert nets.check_level(n) == []
@@ -107,9 +107,11 @@ def test_check_level_catches_violations():
 
 
 def test_build_nets_rejects_bad_metric():
-    bad = MetricSpace(2, {(0, 1): F(0)}, [0, 1])
-    with pytest.raises(MetricAxiomError):
-        build_nets(bad, 2)
+    # ContChain validates the metric before it builds any net
+    bad = MetricSpace(3, {(0, 1): F(5), (0, 2): F(1), (1, 2): F(1)}, [0, 1, 2])
+    with pytest.raises(MetricAxiomError) as err:
+        ContChain(bad)
+    assert "triangle" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +119,17 @@ def test_build_nets_rejects_bad_metric():
 
 def test_phi_values():
     ms = two_point_space()
-    nets = build_nets(ms, 4)
+    nets = SeparatedNets(ms)
     assert phi(ms, nets, 0, 0, 0) == 1            # dist 0, level 0
     assert phi(ms, nets, 0, 0, 1) == 0            # dist 1 >= 2^0
     ms3 = MetricSpace.from_points_1d([F(0), F(1, 8), F(10)])
-    nets3 = build_nets(ms3, 3)
+    nets3 = SeparatedNets(ms3)
     assert phi(ms3, nets3, 2, 0, 1) == F(1, 8)    # 1/4 - 1/8
 
 
 def test_phi_requires_center():
     ms = two_point_space()
-    nets = build_nets(ms, 2)
+    nets = SeparatedNets(ms)
     with pytest.raises(ValueError):
         phi(ms, nets, 0, 1, 0)                    # 1 not a level-0 center
 
@@ -135,7 +137,7 @@ def test_phi_requires_center():
 def test_psi_strictness_identity():
     # d in D_n and d before e gives psi_d(d) = 0 < 2^-n = psi_e(d)
     ms = two_point_space()
-    nets = build_nets(ms, 4)
+    nets = SeparatedNets(ms)
     for n in range(2, 4):
         assert 0 in nets.level(n)
         assert psi(ms, nets, n, 0, 0) == 0
@@ -144,7 +146,7 @@ def test_psi_strictness_identity():
 
 def test_psi_no_center_in_range():
     ms = MetricSpace.from_points_1d([F(0), F(10)])
-    nets = build_nets(ms, 1)
+    nets = SeparatedNets(ms)
     assert psi(ms, nets, 0, 1, 1) == 0            # only center 0, too far
 
 
@@ -158,7 +160,7 @@ def test_psi_locality_fault_injection():
 def test_psi_range_bound():
     rng = random.Random(19)
     ms = random_space(rng, 8)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     for n in range(chain.stable_level + 1):
         for d in range(ms.n):
             for x in range(ms.n):
@@ -170,7 +172,7 @@ def test_psi_range_bound():
 # Exact evaluation.
 
 def test_two_point_closed_forms():
-    chain = build_chain(two_point_space())
+    chain = ContChain(two_point_space())
     assert chain.eval(0, 0) == (F(0), F(0))       # f_a is identically 0
     assert chain.eval(0, 1) == (F(0), F(0))
     assert chain.eval(1, 0) == (F(2), F(0))       # attains the range bound
@@ -181,7 +183,7 @@ def test_values_stay_in_range():
     rng = random.Random(23)
     for _ in range(5):
         ms = random_space(rng, rng.randint(1, 10))
-        table = build_chain(ms).value_table()
+        table = ContChain(ms).value_table()
         for row in table:
             for v in row:
                 assert 0 <= v <= 2
@@ -190,7 +192,7 @@ def test_values_stay_in_range():
 def test_truncation_soundness():
     rng = random.Random(29)
     ms = random_space(rng, 7)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     for N in range(0, chain.stable_level + 3):
         for d in range(ms.n):
             for x in range(ms.n):
@@ -201,7 +203,7 @@ def test_truncation_soundness():
 
 
 def test_truncate_rejects_negative():
-    chain = build_chain(two_point_space())
+    chain = ContChain(two_point_space())
     with pytest.raises(ValueError):
         chain.eval(0, 0, truncate=-1)
 
@@ -209,7 +211,7 @@ def test_truncate_rejects_negative():
 def test_monotone_and_strict():
     rng = random.Random(31)
     ms = random_space(rng, 12)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     table = chain.value_table()
     for pd in range(ms.n):
         for pe in range(pd + 1, ms.n):
@@ -222,7 +224,7 @@ def test_strictness_quantified():
     # d in D_n and d before e force a gap of at least 2^-n at d
     rng = random.Random(37)
     ms = random_space(rng, 9)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     table = chain.value_table()
     for d in range(ms.n):
         n = next(n for n in range(chain.stable_level + 1)
@@ -236,7 +238,7 @@ def test_order_isomorphism_on_permutation():
     # the map d -> f_d reproduces an arbitrary permutation order exactly
     rng = random.Random(41)
     ms = random_space(rng, 20)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     table = chain.value_table()
     ranked = sorted(range(ms.n),
                     key=lambda d: [table[d][x] for x in range(ms.n)])
@@ -246,7 +248,7 @@ def test_order_isomorphism_on_permutation():
 def test_chain_rejects_bad_metric():
     bad = MetricSpace(2, {(0, 1): F(0)}, [0, 1])
     with pytest.raises(MetricAxiomError) as err:
-        build_chain(bad)
+        ContChain(bad)
     assert "identity" in str(err.value)
 
 
@@ -254,7 +256,7 @@ def test_chain_rejects_bad_metric():
 # Witness extraction.
 
 def test_witness_two_point():
-    chain = build_chain(two_point_space())
+    chain = ContChain(two_point_space())
     fs = [lambda x: chain.eval(0, x)[0], lambda x: chain.eval(1, x)[0]]
     report = witness_points(fs, [0, 1])
     assert report.ok
@@ -272,7 +274,7 @@ def test_witness_constant_pair_reported():
 def test_witness_every_consecutive_pair():
     rng = random.Random(43)
     ms = random_space(rng, 20)
-    chain = build_chain(ms)
+    chain = ContChain(ms)
     fs = [(lambda x, d=d: chain.eval(d, x)[0]) for d in ms.order]
     report = witness_points(fs, list(range(ms.n)))
     assert report.ok
