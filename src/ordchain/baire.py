@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     verify_certificate)
-from .lazyset import LazySet
+from .lazyset import LazySet, escapes
 from .ordinal import Ordinal, compare, format_ordinal
 
 
@@ -158,17 +158,16 @@ class FSigmaWitness:
     m: int
 
     def check(self, y: LazySet, x: LazySet, probe: int) -> bool:
-        for n in range(self.m, probe):
-            if y.member(n) and not x.member(n):
-                return False
-        if self.m > 0 and not (y.member(self.m - 1) and not x.member(self.m - 1)):
+        """No n in [m, probe) with y(n) > x(n), and one at m - 1 if m > 0."""
+        if len(escapes(y, x, self.m, probe)):
             return False
-        return True
+        return self.m == 0 or len(escapes(y, x, self.m - 1, self.m)) == 1
 
 
 def fsigma_witness(x: LazySet, y: LazySet,
                    evidence: Union[OrderCertificate, int]) -> FSigmaWitness:
-    """Witness for y almost-contained in x, minimized by a downward scan.
+    """Witness for y almost-contained in x, minimized to one past the last
+    element of y outside x below the exception bound.
 
     `evidence` is either a certificate with lower == y, upper == x, or a
     plain exception bound (equality-mod-finite evidence)."""
@@ -181,12 +180,8 @@ def fsigma_witness(x: LazySet, y: LazySet,
         m0 = int(evidence)
         if m0 < 0:
             raise ValueError("exception bound must be a natural")
-    m = m0
-    for n in range(m0 - 1, -1, -1):
-        if y.member(n) and not x.member(n):
-            break
-        m = n
-    return FSigmaWitness(m)
+    hits = escapes(y, x, 0, m0)
+    return FSigmaWitness(int(hits[-1]) + 1 if len(hits) else 0)
 
 
 def verify_chain_monotone(family: ChainFamily, pairs, depth: int,

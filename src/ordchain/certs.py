@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
-                      inter, parse_set, piece, rows, union)
+                      escapes, inter, parse_set, piece, rows, union)
 from .ordinal import (Ordinal, add, compare, fundamental_sequence,
                       left_subtract)
 
@@ -96,8 +96,9 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
 
     Draws `depth` surplus elements (distinct, in upper, not in lower) and
     checks every element of lower up to the probe bound: those >= the
-    exception bound must lie in upper.  A failed check is reported, not
-    raised.
+    exception bound must lie in upper.  That check is one bitmap
+    comparison, lower & ~upper over [bound, probe], and the first element
+    it flags is reported.  A failed check is reported, not raised.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -114,9 +115,9 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
         if cert.lower.member(s):
             return Report(False, f"surplus element {s} lies in lower")
     probe = max(cert.bound, max(surplus, default=0), 4 * depth)
-    for e in cert.lower.members_upto(probe + 1):
-        if e >= cert.bound and not cert.upper.member(e):
-            return Report(False, f"element {e}")
+    hits = escapes(cert.lower, cert.upper, cert.bound, probe + 1)
+    if len(hits):
+        return Report(False, f"element {int(hits[0])}")
     return Report(True, "OK")
 
 
@@ -348,24 +349,21 @@ class OrdinalEmbedding:
         self.interval = interval
         self._chain: Optional[SplitChain] = None
         self._subs: Dict[int, "OrdinalEmbedding"] = {}
-        if bound.is_zero():
-            self._mode = "empty"
-        elif _is_pure_power(bound):
-            self._mode = "segments"
+        # per slot index: its upper boundary, and (start, type, is unit)
+        self._ends: List[Ordinal] = []
+        self._slots: List[Tuple[Ordinal, Ordinal, bool]] = []
+        if _is_pure_power(bound):
+            # segments, built on demand by _end and _slot
             self._fs = fundamental_sequence(bound)
-            self._ends: List[Ordinal] = []
         else:
-            self._mode = "blocks"
-            starts, types = [], []
+            # blocks, all built here; none if bound is zero
             acc = Ordinal()
             for e, c in bound.terms:
                 unit = Ordinal(((e, 1),)) if not e.is_zero() else _ONE
                 for _ in range(c):
-                    starts.append(acc)
-                    types.append(unit)
+                    self._slots.append((acc, unit, e.is_zero()))
                     acc = add(acc, unit)
-            self._starts = starts
-            self._types = types
+                    self._ends.append(acc)
 
     # -- structure ---------------------------------------------------------
 
@@ -376,23 +374,21 @@ class OrdinalEmbedding:
 
     def _end(self, t: int) -> Ordinal:
         """Upper boundary of slot t."""
-        if self._mode == "blocks":
-            return add(self._starts[t], self._types[t])
         while len(self._ends) <= t:
             self._ends.append(self._fs(len(self._ends)))
         return self._ends[t]
 
-    def _slot(self, t: int) -> Tuple[Ordinal, Ordinal]:
-        """(start, type) of slot t."""
-        if self._mode == "blocks":
-            return self._starts[t], self._types[t]
-        if t == 0:
-            return Ordinal(), self._end(0)
-        start = self._end(t - 1)
-        return start, left_subtract(start, self._end(t))
+    def _slot(self, t: int) -> Tuple[Ordinal, Ordinal, bool]:
+        """(start, type, whether the type is 1) of slot t."""
+        while len(self._slots) <= t:
+            k = len(self._slots)
+            start = self._end(k - 1) if k else Ordinal()
+            otype = left_subtract(start, self._end(k))
+            self._slots.append((start, otype, compare(otype, _ONE) == 0))
+        return self._slots[t]
 
     def _is_unit(self, t: int) -> bool:
-        return compare(self._slot(t)[1], _ONE) == 0
+        return self._slot(t)[2]
 
     def _sub(self, t: int) -> "OrdinalEmbedding":
         sub = self._subs.get(t)

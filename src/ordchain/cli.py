@@ -23,7 +23,7 @@ from .lazyset import ResourceLimitError, SetParseError, parse_set
 from .metric import (ContChain, MetricAxiomError, SpaceParseError,
                      format_eval, load_space)
 from .ordinal import OrdinalParseError, format_ordinal, parse_ordinal
-from .sampling import sample_comparable_pairs
+from .sampling import NoPairsError, sample_comparable_pairs
 
 USAGE_ERROR = 2
 
@@ -249,6 +249,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
+        return USAGE_ERROR
+    except NoPairsError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (MetricAxiomError, InvalidCertificateError,
             ResourceLimitError) as exc:

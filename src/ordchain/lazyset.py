@@ -199,6 +199,14 @@ def piece(parent: LazySet, i: int) -> LazySet:
     return _make("piece", (i,), (parent,), f"piece({parent.expr},{i})")
 
 
+def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
+    """The elements of x outside y in [lo, hi), ascending: one bitmap
+    comparison, x & ~y."""
+    if hi <= lo:
+        return np.zeros(0, dtype=np.int64)
+    return lo + np.flatnonzero(x.bits(hi)[lo:] & ~y.bits(hi)[lo:])
+
+
 # ---------------------------------------------------------------------------
 # Vectorized evaluation.  Iterative post-order walk, so deep expressions do
 # not hit the interpreter recursion limit.
@@ -314,6 +322,9 @@ _SET_TOKEN = re.compile(r"\s*(\d+|[a-z]+|\(|\)|,)")
 
 
 def parse_set(text: str) -> LazySet:
+    """Parse the grammar above.  Constructors still awaiting operands wait
+    on an explicit stack, so nesting is bounded by the depth cap and not by
+    the interpreter's recursion limit."""
     toks, pos = [], 0
     while pos < len(text):
         m = _SET_TOKEN.match(text, pos)
@@ -323,10 +334,37 @@ def parse_set(text: str) -> LazySet:
             break
         toks.append(m.group(1))
         pos = m.end()
-    node, i = _parse_set_at(toks, 0)
+    # [constructor, left operand or None] per open compound expression
+    stack, i = [], 0
+    while True:
+        if i >= len(toks):
+            raise SetParseError("unexpected end of input")
+        head = toks[i]
+        if head in _COMPOUND:
+            i = _expect(toks, i + 1, "(")
+            stack.append([head, None])
+            continue
+        node, i = _parse_leaf(toks, i)
+        # close every compound whose last set operand is now complete
+        while stack and (stack[-1][0] == "piece" or stack[-1][1] is not None):
+            head, left = stack.pop()
+            if head == "piece":
+                i = _expect(toks, i, ",")
+                k, i = _nat(toks, i)
+                node = piece(node, k)
+            else:
+                node = _COMPOUND[head](left, node)
+            i = _expect(toks, i, ")")
+        if not stack:
+            break
+        stack[-1][1] = node
+        i = _expect(toks, i, ",")
     if i != len(toks):
         raise SetParseError(f"trailing input: {toks[i:]}")
     return node
+
+
+_COMPOUND = {"union": union, "inter": inter, "diff": diff, "piece": piece}
 
 
 def _expect(toks, i, tok):
@@ -342,9 +380,8 @@ def _nat(toks, i):
     return int(toks[i]), i + 1
 
 
-def _parse_set_at(toks, i):
-    if i >= len(toks):
-        raise SetParseError("unexpected end of input")
+def _parse_leaf(toks, i):
+    """An expression with no set operand: empty, rows(k) or ap(a,b)."""
     head = toks[i]
     i += 1
     if head == "empty":
@@ -364,19 +401,4 @@ def _parse_set_at(toks, i):
             return ap(a, b), i
         except ValueError as exc:
             raise SetParseError(str(exc)) from exc
-    if head in ("union", "inter", "diff"):
-        i = _expect(toks, i, "(")
-        left, i = _parse_set_at(toks, i)
-        i = _expect(toks, i, ",")
-        right, i = _parse_set_at(toks, i)
-        i = _expect(toks, i, ")")
-        ctor = {"union": union, "inter": inter, "diff": diff}[head]
-        return ctor(left, right), i
-    if head == "piece":
-        i = _expect(toks, i, "(")
-        parent, i = _parse_set_at(toks, i)
-        i = _expect(toks, i, ",")
-        k, i = _nat(toks, i)
-        i = _expect(toks, i, ")")
-        return piece(parent, k), i
     raise SetParseError(f"unknown constructor {head!r}")

@@ -8,9 +8,9 @@ large coefficients make surplus elements astronomically sparse.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from .ordinal import LT, Ordinal, compare
+from .ordinal import LT, Ordinal, compare, format_ordinal
 
 MAX_EXPONENT = 4
 MAX_COEFF = 2
@@ -31,9 +31,25 @@ def random_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
     return Ordinal(terms)
 
 
+class NoPairsError(ValueError):
+    """Below the bound there is no pair a < b to sample."""
+
+
+def _finite(a: Ordinal) -> Optional[int]:
+    """The natural number `a` is, or None if it is infinite."""
+    if a.is_zero():
+        return 0
+    e, c = a.terms[0]
+    return c if e.is_zero() else None
+
+
 def sample_below(bound: Ordinal, rng: random.Random,
                  max_tries: int = 10000, **profile) -> Ordinal:
-    """Rejection-sample a notation strictly below `bound`."""
+    """A notation strictly below `bound`: uniform below a finite bound,
+    else rejection-sampled from `random_notation`."""
+    n = _finite(bound)
+    if n is not None:
+        return Ordinal.from_int(rng.randrange(n))
     for _ in range(max_tries):
         candidate = random_notation(rng, **profile)
         if compare(candidate, bound) == LT:
@@ -43,7 +59,10 @@ def sample_below(bound: Ordinal, rng: random.Random,
 
 def sample_comparable_pairs(bound: Ordinal, count: int, rng: random.Random,
                             **profile) -> List[Tuple[Ordinal, Ordinal]]:
-    """`count` pairs (a, b) with a < b < bound."""
+    """`count` pairs (a, b) with a < b < bound; NoPairsError if count is
+    positive and bound is 0 or 1, which have no such pair."""
+    if count > 0 and _finite(bound) in (0, 1):
+        raise NoPairsError(f"no pair a < b lies below {format_ordinal(bound)}")
     out: List[Tuple[Ordinal, Ordinal]] = []
     while len(out) < count:
         a = sample_below(bound, rng, **profile)

@@ -108,6 +108,42 @@ def test_fsigma_plain_bound_evidence():
         fsigma_witness(EVENS, y, -1)
 
 
+def reference_fsigma_m(x, y, m0):
+    """The downward per-element scan fsigma_witness made before it became
+    one bitmap comparison; an oracle for it."""
+    m = m0
+    for n in range(m0 - 1, -1, -1):
+        if y.member(n) and not x.member(n):
+            break
+        m = n
+    return m
+
+
+def reference_check(m, y, x, probe):
+    """The per-element FSigmaWitness.check; an oracle for it."""
+    for n in range(m, probe):
+        if y.member(n) and not x.member(n):
+            return False
+    return m == 0 or (y.member(m - 1) and not x.member(m - 1))
+
+
+def test_fsigma_matches_reference():
+    rng = random.Random(61)
+    emb = OrdinalEmbedding(parse_ordinal("w^(2)"), default_interval())
+    sets = [EVENS, MULT4, NATS, union(inter(EVENS, ap(1, 4)), singleton(1)),
+            union(MULT4, union(singleton(7), singleton(13)))]
+    sets += [emb.member(parse_ordinal(t)) for t in ("0", "3", "w", "w*2+1")]
+    for _ in range(60):
+        x, y = rng.choice(sets), rng.choice(sets)
+        m0 = rng.randint(0, 40)
+        m = fsigma_witness(x, y, m0).m
+        assert m == reference_fsigma_m(x, y, m0)
+        for trial in {0, m, max(m - 1, 0), m + 1, rng.randint(0, 40)}:
+            probe = rng.randint(0, 80)
+            assert FSigmaWitness(trial).check(y, x, probe) == \
+                reference_check(trial, y, x, probe)
+
+
 def test_fsigma_rejects_mismatched_certificate():
     cert = default_certificate(MULT4, EVENS, 0)
     with pytest.raises(InvalidCertificateError):

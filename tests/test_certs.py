@@ -5,15 +5,16 @@ import random
 
 import pytest
 
+from ordchain import lazyset
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            OrdinalEmbedding, SplitChain, base_cert,
+                            OrdinalEmbedding, Report, SplitChain, base_cert,
                             compose_certs, default_certificate,
                             default_interval, normalize_address,
                             parse_certificate, tree_child_certs,
                             tree_interval_cert, tree_node,
                             verify_certificate)
-from ordchain.lazyset import (SetParseError, ap, diff, empty, inter,
-                              parse_set, piece, rows, union)
+from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
+                              empty, inter, parse_set, piece, rows, union)
 from ordchain.ordinal import Ordinal, compare, parse_ordinal
 from ordchain.sampling import sample_comparable_pairs
 
@@ -83,6 +84,96 @@ def test_certificates_are_not_decisions():
     bad = default_certificate(EVENS, MULT4, 0)
     r = verify_certificate(bad, 8)
     assert not r.ok
+
+
+def reference_verify(cert, depth):
+    """The verifier as it was before its probe became one bitmap
+    comparison: every element of lower up to the probe bound is looked up
+    in upper one at a time.  An oracle for verify_certificate."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    try:
+        surplus = cert.surplus_elements(depth)
+    except ResourceLimitError as exc:
+        return Report(False, f"surplus exhausted: {exc}")
+    if len(set(surplus)) != len(surplus):
+        dupe = next(s for s in surplus if surplus.count(s) > 1)
+        return Report(False, f"surplus repeats element {dupe}")
+    for s in surplus:
+        if not cert.upper.member(s):
+            return Report(False, f"surplus element {s} not in upper")
+        if cert.lower.member(s):
+            return Report(False, f"surplus element {s} lies in lower")
+    probe = max(cert.bound, max(surplus, default=0), 4 * depth)
+    for e in cert.lower.members_upto(probe + 1):
+        if e >= cert.bound and not cert.upper.member(e):
+            return Report(False, f"element {e}")
+    return Report(True, "OK")
+
+
+def singleton(n):
+    return diff(ap(1, n), ap(1, n + 1))
+
+
+def oracle_corpus():
+    """Split, tree and embedding certificates, some with a nonzero
+    exception bound, plus certificates that fail for every reason the
+    verifier gives."""
+    certs = []
+    for chain in (SplitChain(base_cert(0, 1)),
+                  # only 1 lies in lower outside upper: bound 2
+                  SplitChain(default_certificate(
+                      union(diff(NATS, ap(1, 3)), MULT4), EVENS, 2))):
+        certs += [chain.cert_lower(1), chain.cert_lower(3),
+                  chain.cert_between(1, 4), chain.cert_step(2),
+                  chain.cert_upper(3)]
+    certs += tree_child_certs((1, 2), 1, 3) + tree_child_certs((2,), 2, 3)
+    rng = random.Random(51)
+    for interval in (default_interval(),
+                     default_certificate(union(MULT4, singleton(5)),
+                                         EVENS, 6)):
+        emb = OrdinalEmbedding(parse_ordinal("w^(2)+w*3+5"), interval)
+        certs += [emb.cert(a, b) for a, b in
+                  sample_comparable_pairs(parse_ordinal("w^(2)+w*3+5"), 8, rng)]
+        certs.append(emb.upper_cert(parse_ordinal("w*2")))
+    evens_from_2 = inter(EVENS, ap(1, 1))
+    certs += [
+        default_certificate(MULT4, evens_from_2, 0),            # FAIL element 0
+        default_certificate(union(MULT4, union(singleton(7), singleton(11))),
+                            EVENS, 8),                          # FAIL element 11
+        OrderCertificate(MULT4, EVENS, 0, [2, 3, 6, 10] + list(range(14, 200, 4))),
+        OrderCertificate(MULT4, EVENS, 0, [2, 4, 6] + list(range(10, 200, 4))),
+        OrderCertificate(MULT4, EVENS, 0, [2, 6, 6] + list(range(10, 200, 4))),
+        OrderCertificate(MULT4, EVENS, 0, [2, 6]),              # too short
+        OrderCertificate(MULT4, EVENS, 0, [-2] + list(range(2, 200, 4))),
+    ]
+    return certs
+
+
+@pytest.mark.parametrize("depth", [4, 16, 32])
+def test_verify_matches_reference(depth):
+    reports = []
+    for cert in oracle_corpus():
+        report = verify_certificate(cert, depth)
+        assert report == reference_verify(cert, depth), cert.serialize()
+        reports.append(report.message.split(" ")[0])
+    # the corpus reaches every verdict
+    assert {"OK", "element", "surplus"} <= set(reports)
+
+
+def test_verify_matches_reference_under_low_scan_cap():
+    sparse = piece(diff(rows(1), empty()), 11)      # one element, 4094, below 2^12
+    corpus = oracle_corpus() + [default_certificate(empty(), sparse, 0)]
+    # caches longer than the cap would make every scan refuse at once
+    lazyset.purge_caches()
+    lazyset.set_scan_cap(1 << 12)
+    for cert in corpus:
+        assert verify_certificate(cert, 16) == reference_verify(cert, 16)
+    assert not verify_certificate(corpus[-1], 16).ok
+    beyond = default_certificate(MULT4, EVENS, 1 << 12)
+    for verify in (verify_certificate, reference_verify):
+        with pytest.raises(ResourceLimitError):
+            verify(beyond, 16)
 
 
 # ---------------------------------------------------------------------------

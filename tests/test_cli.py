@@ -36,7 +36,7 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def run_fresh(*argv, **env):
+def run_fresh(*argv, timeout=120, **env):
     """Run the CLI in a new interpreter, so no set interned by an earlier
     test, and no cap it set, can change the outcome."""
     src = str(Path(ordchain.__file__).resolve().parents[1])
@@ -45,7 +45,7 @@ def run_fresh(*argv, **env):
          "import sys; from ordchain.cli import main; sys.exit(main(sys.argv[1:]))",
          *argv],
         env=dict(os.environ, PYTHONPATH=src, **env),
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,25 @@ def test_embed_zero_ordinal(capsys):
     code, out, _ = run(capsys, "embed", "--ordinal", "0")
     assert code == 0
     assert out.strip() == "CHECKED 0 FAILED 0"
+
+
+def test_embed_finite_bound_two():
+    # 0 is drawn below a finite bound, so the one pair below 2 is found
+    proc = run_fresh("embed", "--ordinal", "2", "--pairs", "2", timeout=30)
+    assert (proc.returncode, proc.stdout) == (
+        0, "PAIR 0 1 OK\nPAIR 0 1 OK\nCHECKED 2 FAILED 0\n")
+
+
+def test_embed_no_pair_below_one(capsys):
+    code, out, err = run(capsys, "embed", "--ordinal", "1", "--pairs", "1")
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err == "embed: no pair a < b lies below 1\n"
+
+
+def test_baire_no_pair_below_one(capsys):
+    code, out, err = run(capsys, "baire", "--ordinal", "1")
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err == "baire: no pair a < b lies below 1\n"
 
 
 def test_embed_malformed_ordinal(capsys):
@@ -260,6 +279,17 @@ def test_verify_bad_bound(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--cert", cert)
     assert code == 1
     assert out.strip() == "FAIL element 0"
+
+
+def test_verify_deep_union_cert(tmp_path):
+    # 1,500 nested unions: far below the depth cap, far above the
+    # interpreter's recursion limit
+    lower = "union(ap(2,0),ap(3,0))"
+    for _ in range(1499):
+        lower = f"union({lower},ap(3,0))"
+    cert = write(tmp_path, "deep.cert", f"cert{{m=0, lower={lower}, upper=ap(1,0)}}\n")
+    proc = run_fresh("verify", "--cert", cert)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
 
 
 def test_verify_depth_zero_is_usage_error(capsys, tmp_path):

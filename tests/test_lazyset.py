@@ -200,6 +200,17 @@ def test_parse_set_whitespace():
         union(rows(1), ap(2, 1))
 
 
+def test_parse_set_deep_nesting():
+    # well past the interpreter's recursion limit, well within the depth cap
+    s = ap(2, 0)
+    for i in range(1500):
+        s = (union(s, ap(3, i)) if i % 4 == 0 else
+             inter(ap(1, i), s) if i % 4 == 1 else
+             diff(s, ap(5, i)) if i % 4 == 2 else piece(s, 0))
+    assert s.depth == 1501
+    assert parse_set(s.expr) is s
+
+
 @pytest.mark.parametrize("bad", [
     "", "rows", "rows()", "rows(x)", "ap(0,1)", "ap(2)", "frobnicate(1)",
     "union(rows(1))", "rows(1) rows(2)", "piece(rows(1))", "rows(1),",
