@@ -8,6 +8,7 @@ codes: 0 all checks ok, 1 any FAIL, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -53,6 +54,13 @@ def _input_problem(args) -> Optional[str]:
             return "--address needs comma-separated naturals"
         if not 0 < args.a < args.b:
             return "need 0 < a < b"
+    if args.command == "cont" and args.truncate is not None:
+        # Python 3.10 before 3.10.7 has no int-to-string digit limit
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        most = math.ceil(digits / math.log10(2)) - 1
+        if digits and args.truncate > most:
+            return (f"--truncate must be <= {most}: 2^N would have more "
+                    f"than {digits} decimal digits")
     if args.command == "cont" and args.eval is not None:
         args.eval = _naturals(args.eval)
         if args.eval is None or len(args.eval) != 2:
@@ -120,15 +128,6 @@ def cmd_baire(args) -> int:
     return 0 if report.ok else 1
 
 
-def _pair_failure(table, d: int, e: int) -> Optional[str]:
-    """Why f_d <= f_e, strict at d, fails on the value table, or None."""
-    if any(vd > ve for vd, ve in zip(table[d], table[e])):
-        return "monotonicity"
-    if not table[d][d] < table[e][d]:
-        return "strictness"
-    return None
-
-
 def cmd_cont(args) -> int:
     space = load_space(args.space)
     chain = ContChain(space)
@@ -137,11 +136,16 @@ def cmd_cont(args) -> int:
         if not (d < space.n and x < space.n):
             raise SpaceParseError("eval indices out of range")
         value, tail = chain.eval(d, x, truncate=args.truncate)
-        print(format_eval(d, x, value, tail))
+        try:
+            line = format_eval(d, x, value, tail)
+        except ValueError:      # past Python's int-to-string digit limit
+            print(f"cont: f {d} at {x} has too many digits to print",
+                  file=sys.stderr)
+            return USAGE_ERROR
+        print(line)
     if args.check_all:
-        table = chain.value_table()
         order = space.order
-        return _report((f"PAIR {d} {e}", _pair_failure(table, d, e))
+        return _report((f"PAIR {d} {e}", chain.pair_failure(d, e))
                        for pd, d in enumerate(order) for e in order[pd + 1:])
     return 0
 

@@ -8,16 +8,25 @@ strictly below it in the order.  The resulting functions live in [0, 2],
 increase with the order, and are strictly separated at the lower point of
 every ordered pair.
 
-Everything is computed in exact rational arithmetic; for finite spaces the
-infinite level sum collapses to a closed form once the separation
-threshold drops below the minimum pairwise distance.
+Arithmetic is exact and runs on integers over one common denominator.  A
+space multiplies every distance once, at construction, by L, the least
+common multiple of the distances' denominators, into an n x n numpy matrix
+of Python ints.  The metric check, the nets, the bump sums and the value
+table compare and add those integers; a value of f_d is a numerator over
+L * 2^S, S the stable level, beyond which the infinite level sum collapses
+to a closed form.  `Fraction` appears only where a value leaves the
+module: `dist`, `phi`, `psi`, `ContChain.eval` and `ContChain.value_table`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class MetricAxiomError(ValueError):
@@ -35,14 +44,17 @@ class SpaceParseError(ValueError):
 
 class MetricSpace:
     """Finite point set with exact rational metric and a total order on the
-    (dense = full) point set."""
+    (dense = full) point set.  `scale` is L, the least common multiple of
+    the distances' denominators."""
 
     def __init__(self, n_points: int, dists: Dict[Tuple[int, int], Fraction],
                  order: Sequence[int]):
+        if n_points < 0:
+            raise SpaceParseError(f"point count must be >= 0, not {n_points}")
         self.n = n_points
         self._d = dict(dists)
         self.order = list(order)
-        if sorted(self.order) != list(range(self.n)):
+        if len(self.order) != self.n or sorted(self.order) != list(range(self.n)):
             raise SpaceParseError("order must list every point index exactly once")
         self.pos = [0] * self.n
         for p, idx in enumerate(self.order):
@@ -54,6 +66,11 @@ class MetricSpace:
             for j in range(i + 1, self.n):
                 if (i, j) not in self._d:
                     raise SpaceParseError(f"missing distance for pair {i} {j}")
+        self.scale = math.lcm(*(v.denominator for v in self._d.values()))
+        # L * d(i, j) as Python ints: symmetric, zero on the diagonal
+        self._m = np.zeros((self.n, self.n), dtype=object)
+        for (i, j), v in self._d.items():
+            self._m[i, j] = self._m[j, i] = v.numerator * (self.scale // v.denominator)
 
     @staticmethod
     def from_points_1d(points: Sequence[Fraction],
@@ -74,22 +91,30 @@ class MetricSpace:
         return self.pos[d] < self.pos[e]
 
     def validate(self) -> List[str]:
-        """Exhaustive metric-axiom check; returns violation descriptions."""
+        """Exhaustive metric-axiom check; returns violation descriptions,
+        the triangle ones in (i, j, k) order."""
+        m = self._m
         bad = []
-        for (i, j), v in self._d.items():
-            if v < 0:
+        for i, j in self._d:
+            if m[i, j] < 0:
                 bad.append(f"nonnegativity {i} {j}")
-            if v == 0:
+            if m[i, j] == 0:
                 bad.append(f"identity {i} {j}")
         for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self.dist(i, j) > self.dist(i, k) + self.dist(k, j):
-                        bad.append(f"triangle {i} {j} {k}")
+            # entry [j, k]: d(i, j) > d(i, k) + d(k, j), as m is symmetric
+            for j, k in np.argwhere(m[i][:, None] > m[i][None, :] + m):
+                bad.append(f"triangle {i} {j} {k}")
         return bad
 
     def min_distance(self) -> Optional[Fraction]:
-        return min(self._d.values()) if self._d else None
+        if self.n < 2:
+            return None
+        return Fraction(self._m[np.triu_indices(self.n, 1)].min(), self.scale)
+
+    def _closer_than(self, k: int, n: int, cols=slice(None)) -> np.ndarray:
+        """Boolean matrix of d(x, c) < k * 2^(-n), for every point x and
+        the columns `cols`: L * d < ceil(k * L / 2^n) on integers."""
+        return self._m[:, cols] < -(-k * self.scale >> n)
 
 
 @dataclass
@@ -99,6 +124,8 @@ class SeparatedNets:
 
     space: MetricSpace
     levels: List[List[int]] = field(default_factory=list)
+    _center_cache: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, n: int) -> List[int]:
         while len(self.levels) <= n:
@@ -106,50 +133,63 @@ class SeparatedNets:
         return self.levels[n]
 
     def _build_level(self, n: int) -> List[int]:
-        threshold = Fraction(4, 2 ** n)
+        near = self.space._closer_than(4, n)
+        blocked = np.zeros(self.space.n, dtype=bool)
         chosen: List[int] = []
         for p in range(self.space.n):
-            if all(self.space.dist(p, c) >= threshold for c in chosen):
+            if not blocked[p]:
                 chosen.append(p)
+                blocked |= near[p]
         return chosen
 
     def check_level(self, n: int) -> List[str]:
         """Separation and maximality violations at level n (empty if fine)."""
-        threshold = Fraction(4, 2 ** n)
+        near = self.space._closer_than(4, n)
         net = self.level(n)
-        bad = []
-        for a in range(len(net)):
-            for b in range(a + 1, len(net)):
-                if self.space.dist(net[a], net[b]) < threshold:
-                    bad.append(f"separation {net[a]} {net[b]}")
-        for p in range(self.space.n):
-            if p not in net and all(self.space.dist(p, c) >= threshold for c in net):
-                bad.append(f"maximality {p}")
+        bad = [f"separation {net[a]} {net[b]}"
+               for a, b in np.argwhere(np.triu(near[np.ix_(net, net)], 1))]
+        covered = near[net].any(axis=0)
+        bad += [f"maximality {p}" for p in range(self.space.n)
+                if p not in net and not covered[p]]
         return bad
+
+    def _centers(self, n: int) -> np.ndarray:
+        """Per point x, the level-n center within 2^(-n) of x: -1 if there
+        is none, -2 if there are several (a locality fault)."""
+        if n not in self._center_cache:
+            net = self.level(n)
+            hits = self.space._closer_than(1, n, net)
+            count = hits.sum(axis=1)
+            centers = np.full(self.space.n, -1)
+            if net:
+                one = count == 1
+                centers[one] = np.asarray(net)[hits[one].argmax(axis=1)]
+            centers[count > 1] = -2
+            self._center_cache[n] = centers
+        return self._center_cache[n]
+
+    def _locality_error(self, n: int, x: int) -> LocalityError:
+        net = self.level(n)
+        hits = [c for c, near in zip(net, self.space._closer_than(1, n, net)[x])
+                if near]
+        return LocalityError(
+            f"level {n}: centers {hits} all within {Fraction(1, 2 ** n)} of point {x}")
 
 
 def phi(space: MetricSpace, nets: SeparatedNets, n: int, c: int, x: int) -> Fraction:
     """Bump of height 2^(-n) at center c, clipped at zero."""
     if c not in nets.level(n):
         raise ValueError(f"point {c} is not a level-{n} center")
-    return max(Fraction(0), Fraction(1, 2 ** n) - space.dist(x, c))
-
-
-def _center_in_range(space: MetricSpace, nets: SeparatedNets,
-                     n: int, x: int) -> Optional[int]:
-    radius = Fraction(1, 2 ** n)
-    hits = [c for c in nets.level(n) if space.dist(x, c) < radius]
-    if len(hits) > 1:
-        raise LocalityError(
-            f"level {n}: centers {hits} all within {radius} of point {x}")
-    return hits[0] if hits else None
+    return Fraction(max(0, space.scale - (space._m[x, c] << n)), space.scale << n)
 
 
 def psi(space: MetricSpace, nets: SeparatedNets, n: int, d: int, x: int) -> Fraction:
     """Level-n bump sum of the centers strictly below d; by separation at
     most one bump is live at x, so the sum has at most one term."""
-    c = _center_in_range(space, nets, n, x)
-    if c is None or not space.precedes(c, d):
+    c = int(nets._centers(n)[x])
+    if c == -2:
+        raise nets._locality_error(n, x)
+    if c == -1 or not space.precedes(c, d):
         return Fraction(0)
     return phi(space, nets, n, c, x)
 
@@ -174,31 +214,79 @@ class ContChain:
         if delta is None:
             return 0
         n = 0
-        while Fraction(4, 2 ** n) > delta:
+        while delta.numerator << n < 4 * delta.denominator:
             n += 1
         return n
+
+    @cached_property
+    def _terms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per level n below the stable level, per point x: the order
+        position of x's center in range (n_points if none) and psi's term
+        at x as a numerator over L * 2^S, due to every d after that center.
+        Raises LocalityError at the first point with two centers."""
+        space, top = self.space, self.stable_level
+        scale = space.scale
+        after = np.array(space.pos + [space.n])   # index -1: no center
+        terms = []
+        for n in range(top):
+            centers = self.nets._centers(n)
+            faults = np.flatnonzero(centers == -2)
+            if faults.size:
+                raise self.nets._locality_error(n, int(faults[0]))
+            gap = space._m[np.arange(space.n), centers] << top
+            terms.append((after[centers],
+                          np.where(centers >= 0, (scale << (top - n)) - gap, 0)))
+        return terms
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """table[d, x] = f_d(x) as a numerator over L * 2^S."""
+        pos = np.array(self.space.pos)
+        before = pos[None, :] < pos[:, None]            # [d, x]: x precedes d
+        table = before.astype(object) * (2 * self.space.scale)
+        for center_pos, term in self._terms:
+            table += (center_pos[None, :] < pos[:, None]) * term
+        return table
 
     def eval(self, d: int, x: int,
              truncate: Optional[int] = None) -> Tuple[Fraction, Fraction]:
         """(value, tail bound).  Exact mode (truncate=None) sums the
         geometric tail in closed form and has tail bound 0; truncated mode
-        stops after `truncate` levels with tail bound 2^(1-N)."""
-        if truncate is None:
-            head = sum((psi(self.space, self.nets, n, d, x)
-                        for n in range(self.stable_level)), Fraction(0))
-            if self.space.precedes(x, d):
-                head += Fraction(2, 2 ** self.stable_level)
-            return head, Fraction(0)
-        if truncate < 0:
+        stops after `truncate` levels with tail bound 2^(1-N).  Levels from
+        the stable level S on are summed in closed form in both modes: each
+        contributes 2^(-n) if x precedes d, else 0."""
+        if truncate is not None and truncate < 0:
             raise ValueError("truncation level must be a natural")
-        value = sum((psi(self.space, self.nets, n, d, x)
-                     for n in range(truncate)), Fraction(0))
+        top, scale = self.stable_level, self.space.scale
+        before = self.space.precedes(x, d)
+        d_pos = self.space.pos[d]
+        head = sum(term[x] for center_pos, term in self._terms[:truncate]
+                   if center_pos[x] < d_pos)
+        if truncate is None:
+            return Fraction(head + (2 * scale if before else 0), scale << top), Fraction(0)
+        value = Fraction(head, scale << top)
+        if before and truncate > top:
+            value += Fraction(2 ** (truncate - top) - 1, 2 ** (truncate - 1))
         return value, Fraction(2, 2 ** truncate)
 
     def value_table(self) -> List[List[Fraction]]:
         """table[d][x] = exact f_d(x)."""
-        return [[self.eval(d, x)[0] for x in range(self.space.n)]
-                for d in range(self.space.n)]
+        den = self.space.scale << self.stable_level
+        return [[Fraction(v, den) for v in row] for row in self._table]
+
+    @cached_property
+    def _above(self) -> np.ndarray:
+        """above[d, e]: f_d(x) > f_e(x) at some point x."""
+        table = self._table
+        return np.array([(row > table).any(axis=1) for row in table])
+
+    def pair_failure(self, d: int, e: int) -> Optional[str]:
+        """Why f_d <= f_e, strict at d, fails, or None."""
+        if self._above[d, e]:
+            return "monotonicity"
+        if not self._table[d, d] < self._table[e, d]:
+            return "strictness"
+        return None
 
 
 @dataclass

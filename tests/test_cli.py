@@ -3,17 +3,28 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import ordchain
 from ordchain.cli import USAGE_ERROR, main
+from ordchain.metric import format_eval
 
 TWO_POINT = """\
 points 2
 dist 0 1 1/1
 order 0 1
+"""
+
+# three points of a line at 0, 1/3 and 5/7: the common denominator is 21
+THIRDS = """\
+points 3
+dist 0 1 1/3
+dist 0 2 5/7
+dist 1 2 8/21
+order 2 0 1
 """
 
 ASYMMETRIC = """\
@@ -215,6 +226,33 @@ def test_cont_eval_truncated(capsys, tmp_path):
     assert out.strip() == "f 1 at 0 = 7/4 (+/- 1/4)"
 
 
+def test_cont_truncate_beyond_stable_level(capsys, tmp_path):
+    # levels from the stable level (here 4) on are summed in closed form
+    from test_metric import Reference
+    space = write(tmp_path, "thirds.space", THIRDS)
+    ref = Reference(3, {(0, 1): Fraction(1, 3), (0, 2): Fraction(5, 7),
+                        (1, 2): Fraction(8, 21)}, [2, 0, 1])
+    for d, x in [(1, 2), (0, 2), (2, 0)]:
+        code, out, _ = run(capsys, "cont", "--space", space, "--eval", f"{d},{x}",
+                           "--truncate", "80")
+        assert (code, out) == (0, format_eval(d, x, *ref.eval(d, x, 80)) + "\n")
+
+
+def test_cont_value_past_digit_limit(capsys, tmp_path):
+    # 2^N prints in 4300 digits, but the value's denominator 21 * 2^(N-1)
+    # does not: a usage error, not a traceback
+    space = write(tmp_path, "thirds.space", THIRDS)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "cont", "--space", space, "--eval", "1,2",
+                             "--truncate", "14284")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err == "cont: f 1 at 2 has too many digits to print\n"
+
+
 def test_cont_check_all(capsys, tmp_path):
     lines = ["points 5"]
     pts = [0, 3, 7, 12, 20]
@@ -390,12 +428,15 @@ def test_depth_cap_env_applies(capsys, monkeypatch):
     ["cont", "--space", "two.space", "--eval", "1,0", "--truncate", "-1"],
     ["tree", "--address", "-1"],
     ["cont", "--space", "far.space", "--eval", "0,1"],
+    ["cont", "--space", "two.space", "--eval", "1,0", "--truncate", "100000"],
+    ["cont", "--space", "negative.space", "--check-all"],
 ], ids=["embed-depth", "baire-depth", "split-depth", "tree-depth",
         "split-count", "cont-eval", "cont-truncate", "tree-address",
-        "space-point-range"])
+        "space-point-range", "cont-truncate-unprintable", "space-negative-count"])
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     write(tmp_path, "two.space", TWO_POINT)
     write(tmp_path, "far.space", TWO_POINT + "dist 0 5 1/1\n")
+    write(tmp_path, "negative.space", "points -1\norder\n")
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (USAGE_ERROR, "")

@@ -29,6 +29,88 @@ def random_space(rng, n, order_shuffle=True):
 
 
 # ---------------------------------------------------------------------------
+# Reference implementations: the exact-Fraction loops that the integer
+# kernel replaced, kept as oracles.  They see only the distance table.
+
+class Reference:
+    def __init__(self, n, dists, order):
+        self.n, self.dists = n, dists
+        self.pos = {p: k for k, p in enumerate(order)}
+        self.nets = {}
+
+    def dist(self, i, j):
+        return F(0) if i == j else self.dists[(min(i, j), max(i, j))]
+
+    def validate(self):
+        bad = []
+        for (i, j), v in self.dists.items():
+            if v < 0:
+                bad.append(f"nonnegativity {i} {j}")
+            if v == 0:
+                bad.append(f"identity {i} {j}")
+        for i in range(self.n):
+            for j in range(self.n):
+                for k in range(self.n):
+                    if self.dist(i, j) > self.dist(i, k) + self.dist(k, j):
+                        bad.append(f"triangle {i} {j} {k}")
+        return bad
+
+    def net(self, level):
+        if level not in self.nets:
+            threshold = F(4, 2 ** level)
+            chosen = []
+            for p in range(self.n):
+                if all(self.dist(p, c) >= threshold for c in chosen):
+                    chosen.append(p)
+            self.nets[level] = chosen
+        return self.nets[level]
+
+    def stable_level(self):
+        if not self.dists:
+            return 0
+        delta, level = min(self.dists.values()), 0
+        while F(4, 2 ** level) > delta:
+            level += 1
+        return level
+
+    def psi(self, level, d, x):
+        radius = F(1, 2 ** level)
+        hits = [c for c in self.net(level) if self.dist(x, c) < radius]
+        if len(hits) > 1:
+            raise LocalityError(
+                f"level {level}: centers {hits} all within {radius} of point {x}")
+        if not hits or not self.pos[hits[0]] < self.pos[d]:
+            return F(0)
+        return max(F(0), radius - self.dist(x, hits[0]))
+
+    def eval(self, d, x, truncate=None):
+        """(value, tail bound) by the per-level psi sum; exact mode adds the
+        closed-form tail from the stable level on."""
+        top = self.stable_level() if truncate is None else truncate
+        value = sum((self.psi(level, d, x) for level in range(top)), F(0))
+        if truncate is not None:
+            return value, F(2, 2 ** truncate)
+        if self.pos[x] < self.pos[d]:
+            value += F(2, 2 ** top)
+        return value, F(0)
+
+
+def space_inputs(rng, n, dims=1, dens=(1, 2, 4, 8)):
+    """(n, dists, order): n distinct random points of [0, n)^dims under
+    the L1 metric, each coordinate over a denominator drawn from `dens`."""
+    points = set()
+    while len(points) < n:
+        points.add(tuple(F(rng.randrange(n * den), den)
+                         for den in (rng.choice(dens) for _ in range(dims))))
+    points = list(points)
+    dists = {(i, j): sum(abs(a - b) for a, b in zip(points[i], points[j]))
+             for i in range(n) for j in range(i + 1, n)}
+    order = list(range(n))
+    rng.shuffle(order)
+    return n, dists, order
+
+
+# ---------------------------------------------------------------------------
 # Metric space basics.
 
 def test_validate_accepts_good_space():
@@ -279,6 +361,103 @@ def test_witness_every_consecutive_pair():
     report = witness_points(fs, list(range(ms.n)))
     assert report.ok
     assert sum(len(v) for v in report.fibers.values()) == ms.n - 1
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction reference.
+
+KERNEL_SPACES = [
+    pytest.param(1, (1, 2, 4, 8), id="line-dyadic"),
+    pytest.param(2, (1, 2, 4, 8), id="grid-dyadic"),
+    pytest.param(1, (3, 7, 9), id="line-3-7-9"),
+    pytest.param(2, (3, 7, 9), id="grid-3-7-9"),
+    pytest.param(1, (2 ** 71 * 3 ** 45,), id="line-huge"),
+    pytest.param(2, (2 ** 71 * 3 ** 45, 7), id="grid-huge"),
+]
+
+
+@pytest.mark.parametrize("dims, dens", KERNEL_SPACES)
+def test_kernel_matches_reference(dims, dens):
+    rng = random.Random(53 + dims)
+    for _ in range(3):
+        n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
+        ms, ref = MetricSpace(n, dists, order), Reference(n, dists, order)
+        if dens[0] > 2 ** 70:
+            assert ms.scale * max(dists.values()) > 2 ** 70
+        assert ms.validate() == ref.validate() == []
+        chain = ContChain(ms)
+        top = chain.stable_level
+        assert top == ref.stable_level()
+        assert ms.min_distance() == min(dists.values())
+        for level in range(top + 2):
+            assert chain.nets.level(level) == ref.net(level)
+            assert chain.nets.check_level(level) == []
+        table = chain.value_table()
+        for d in range(n):
+            for x in range(n):
+                exact = ref.eval(d, x)
+                assert chain.eval(d, x) == exact
+                assert table[d][x] == exact[0]
+                for N in {0, 1, top, top + 3}:
+                    assert chain.eval(d, x, truncate=N) == ref.eval(d, x, N)
+                for level in range(top + 1):
+                    assert psi(ms, chain.nets, level, d, x) == ref.psi(level, d, x)
+
+
+@pytest.mark.parametrize("dims, dens", KERNEL_SPACES)
+def test_validate_matches_reference_on_broken_spaces(dims, dens):
+    rng = random.Random(59 + dims)
+    for _ in range(6):
+        n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
+        keys = list(dists)
+        for key in rng.sample(keys, rng.randint(1, len(keys))):
+            dists[key] = rng.choice([F(0), -dists[key], dists[key] * 3,
+                                     dists[key] / 5])
+        rng.shuffle(keys)
+        dists = {key: dists[key] for key in keys}     # file order is kept
+        expected = Reference(n, dists, order).validate()
+        assert expected
+        assert MetricSpace(n, dists, order).validate() == expected
+
+
+def test_pair_failure_matches_reference():
+    rng = random.Random(61)
+    for dims, dens in [(1, (1, 2, 4, 8)), (2, (3, 7, 9))]:
+        n, dists, order = space_inputs(rng, 10, dims, dens)
+        chain, ref = ContChain(MetricSpace(n, dists, order)), Reference(n, dists, order)
+        for d in range(n):
+            for e in range(n):
+                fd = [ref.eval(d, x)[0] for x in range(n)]
+                fe = [ref.eval(e, x)[0] for x in range(n)]
+                expected = ("monotonicity" if any(a > b for a, b in zip(fd, fe))
+                            else "strictness" if not fd[d] < fe[d] else None)
+                assert chain.pair_failure(d, e) == expected
+
+
+def test_truncated_eval_far_beyond_stable_level():
+    # levels from the stable level on are summed in closed form
+    rng = random.Random(67)
+    n, dists, order = space_inputs(rng, 5, 1, (3, 7, 9))
+    chain, ref = ContChain(MetricSpace(n, dists, order)), Reference(n, dists, order)
+    for d in range(n):
+        for x in range(n):
+            assert chain.eval(d, x, truncate=80) == ref.eval(d, x, 80)
+
+
+def test_integer_path_locality_fault_injection():
+    ms = MetricSpace.from_points_1d([F(0), F(1, 8), F(10)])
+    ref = Reference(ms.n, {(0, 1): F(1, 8), (0, 2): F(10), (1, 2): F(79, 8)},
+                    ms.order)
+    ref.nets[0] = [0, 1]
+    with pytest.raises(LocalityError) as expected:
+        ref.psi(0, 1, 0)
+    for run in (lambda c: c.value_table(), lambda c: c.eval(1, 0),
+                lambda c: c.pair_failure(0, 1)):
+        chain = ContChain(ms)
+        chain.nets.levels[0] = [0, 1]             # corrupt: both as centers
+        with pytest.raises(LocalityError) as err:
+            run(chain)
+        assert str(err.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
