@@ -8,6 +8,7 @@ codes: 0 all checks ok, 1 any FAIL, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import random
@@ -187,7 +188,10 @@ def cmd_tree(args) -> int:
     return _report(checks())
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call (not at
+    import) and reused: building it costs more than a small job."""
     parser = argparse.ArgumentParser(
         prog="ordchain",
         description="Construct and verify certified mod-finite chains, "

@@ -13,13 +13,27 @@ of p whose enumeration index lies in row i of the pairing; a piece of an
 infinite set is therefore infinite by construction.
 
 Nodes are interned by their canonical serialization, so structurally equal
-expressions are the same object and share membership caches.  Membership
-caches are append-only; with or without them the observable behavior is
-identical.
+expressions are the same object and share membership caches.
+
+Every set in the grammar is eventually periodic: from its preperiod P on,
+n and n + T are members together, for its period T.  The shape (P, T)
+follows the constructors: empty is (0, 1), rows(k) is (0, 2^k), ap(a,b)
+is (b, a); union, inter and diff take the larger P and the lcm of the two
+T; piece(s,i) keeps the P of s and has period T*2^(i+1)/gcd(c, 2^(i+1)),
+where c is the number of members of s in one period (period 1 if c = 0).
+A node learns its shape once its children know theirs, and a piece learns
+c once its parent is folded.
+
+Each node caches a prefix bitmap of its membership, grown to the largest
+index asked for.  Once the prefix covers P + T the node is folded: the
+cache stops growing and holds one preperiod plus one period, and every
+later question is answered from it.  With or without caches, folded or
+not, the observable behavior is identical.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -36,6 +50,10 @@ class ResourceLimitError(RuntimeError):
 _DEPTH_CAP = 10000
 _SCAN_CAP = 1 << 27
 _CACHE_BUDGET = 1 << 30
+# No bitmap is this long, so a node whose P + T passes it never folds; the
+# bound also keeps shape arithmetic on small integers.
+_SHAPE_BITS = 62
+_SHAPE_LIMIT = 1 << _SHAPE_BITS
 _cached_bytes = 0
 
 
@@ -58,7 +76,8 @@ def set_scan_cap(cap: int) -> None:
 
 
 def purge_caches() -> None:
-    """Drop every membership cache; semantics are unaffected."""
+    """Drop every membership cache; semantics are unaffected.  Shapes are
+    facts about the expressions and stay."""
     global _cached_bytes
     for node in _INTERN.values():
         node._bits = np.zeros(0, dtype=bool)
@@ -88,7 +107,7 @@ _INTERN = {}
 class LazySet:
     """Interned expression node; construct via the module factories."""
 
-    __slots__ = ("kind", "nats", "children", "expr", "depth", "_bits")
+    __slots__ = ("kind", "nats", "children", "expr", "depth", "_bits", "_shape")
 
     def __init__(self, kind, nats, children, expr, depth):
         self.kind = kind
@@ -97,6 +116,8 @@ class LazySet:
         self.expr = expr
         self.depth = depth
         self._bits = np.zeros(0, dtype=bool)
+        # (P, T) once known, False if P + T passes _SHAPE_LIMIT
+        self._shape = None
 
     def __repr__(self):
         return f"LazySet<{self.expr}>"
@@ -107,19 +128,20 @@ class LazySet:
         """Membership indicator over [0, n)."""
         if n > _SCAN_CAP:
             raise ResourceLimitError(f"scan bound {n} exceeds cap {_SCAN_CAP}")
-        if len(self._bits) < n:
-            if _cached_bytes > _CACHE_BUDGET:
-                purge_caches()
-            _extend_bits(self, n)
-        return self._bits[:n]
+        _grow(self, n)
+        return _prefix(self, n)
 
     def member(self, n: int) -> bool:
         if n < 0:
             return False
-        if len(self._bits) <= n:
+        if n >= _SCAN_CAP:
+            raise ResourceLimitError(f"scan bound {n + 1} exceeds cap {_SCAN_CAP}")
+        if n >= len(self._bits):
             # grow geometrically so point probes stay amortized-linear
-            target = max(n + 1, 2 * len(self._bits), 1024)
-            self.bits(max(n + 1, min(target, _SCAN_CAP)))
+            _grow(self, min(max(n + 1, 2 * len(self._bits), 1024), _SCAN_CAP))
+            if n >= len(self._bits):        # folded short of n
+                p, t = self._shape
+                n = p + (n - p) % t
         return bool(self._bits[n])
 
     def members_upto(self, n: int):
@@ -131,25 +153,35 @@ class LazySet:
         return self.first_n(k + 1)[k]
 
     def first_n(self, count: int):
-        """The `count` smallest elements; ResourceLimitError if the scan
-        budget is exhausted first (the set may be finite)."""
+        """The `count` smallest elements; ResourceLimitError if fewer lie
+        below the scan cap (the set may be finite)."""
         if count <= 0:
             return []
-        n = max(1024, len(self._bits))
-        while True:
+        n = min(max(1024, len(self._bits)), _SCAN_CAP)
+        while not _folded(self):
             idx = np.flatnonzero(self.bits(n))
             if len(idx) >= count:
-                return [int(v) for v in idx[:count]]
+                return idx[:count].tolist()
             if n >= _SCAN_CAP:
                 raise ResourceLimitError(
                     f"found only {len(idx)} elements of {self.expr} below {n}")
             n = min(2 * n, _SCAN_CAP)
-
-    # -- slow path: independent per-element evaluation --------------------
-
-    def members_upto_slow(self, n: int):
-        """Sorted members < n via pure-Python evaluation (no numpy caches)."""
-        return _slow_members(self, n)
+        # Folded: the members below P, then one period's members a whole
+        # number of periods on.  Count those below the cap before listing
+        # any, so a large count costs no more than the answer.
+        p, t = self._shape
+        pre = np.flatnonzero(self._bits[:p])
+        period = p + np.flatnonzero(self._bits[p:p + t])
+        q, r = divmod(max(_SCAN_CAP - p, 0), t)
+        below = (np.count_nonzero(pre < _SCAN_CAP) + q * len(period)
+                 + np.count_nonzero(period < p + r))
+        if below < count:
+            raise ResourceLimitError(
+                f"found only {below} elements of {self.expr} below {_SCAN_CAP}")
+        if count <= len(pre):
+            return pre[:count].tolist()
+        k = np.arange(count - len(pre))
+        return pre.tolist() + (period[k % len(period)] + k // len(period) * t).tolist()
 
 
 def _make(kind, nats, children, expr):
@@ -211,6 +243,37 @@ def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
 # Vectorized evaluation.  Iterative post-order walk, so deep expressions do
 # not hit the interpreter recursion limit.
 
+def _folded(node: LazySet) -> bool:
+    shape = node._shape
+    return bool(shape) and len(node._bits) >= shape[0] + shape[1]
+
+
+def _grow(node: LazySet, n: int) -> None:
+    """Make the cache of `node` cover [0, n), or fold it."""
+    if len(node._bits) < n and not _folded(node):
+        if _cached_bytes > _CACHE_BUDGET:
+            purge_caches()
+        _extend_bits(node, n)
+
+
+def _prefix(node: LazySet, n: int) -> np.ndarray:
+    """Membership over [0, n) of a node that covers n or is folded: past
+    the cache, the period is tiled."""
+    bits = node._bits
+    if n <= len(bits):
+        return bits[:n]
+    p, t = node._shape
+    out = np.empty(n, dtype=bool)
+    out[:p + t] = bits[:p + t]
+    done = p + t
+    while done < n:
+        # out[p:done] is a whole number of periods: copy it on, doubling
+        step = min(done - p, n - done)
+        out[done:done + step] = out[p:p + step]
+        done += step
+    return out
+
+
 def _extend_bits(root: LazySet, n: int) -> None:
     order = []
     seen = set()
@@ -225,15 +288,53 @@ def _extend_bits(root: LazySet, n: int) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for c in node.children:
-            if len(c._bits) < n:
+            if len(c._bits) < n and not _folded(c):
                 stack.append((c, False))
     global _cached_bytes
     for node in order:
-        if len(node._bits) >= n:
-            continue
-        _cached_bytes -= node._bits.nbytes
-        node._bits = _compute_bits(node, n)
-        _cached_bytes += node._bits.nbytes
+        if node._shape is None:
+            node._shape = _learn_shape(node)
+        m = min(n, sum(node._shape)) if node._shape else n
+        if len(node._bits) < m:
+            _cached_bytes -= node._bits.nbytes
+            node._bits = _compute_bits(node, m)
+            _cached_bytes += node._bits.nbytes
+
+
+def _learn_shape(node: LazySet):
+    """(P, T) of `node`, False if P + T passes _SHAPE_LIMIT, or None while
+    a child's shape or a piece's count per period is still unknown."""
+    kind = node.kind
+    if kind == "empty":
+        shape = (0, 1)
+    elif kind == "rows":
+        (k,) = node.nats
+        shape = (0, 1 << k) if k <= _SHAPE_BITS else False
+    elif kind == "ap":
+        a, b = node.nats
+        shape = (b, a)
+    elif kind == "piece":
+        parent = node.children[0]
+        if parent._shape is False:
+            return False
+        if not _folded(parent):
+            return None
+        p, t = parent._shape
+        c = int(np.count_nonzero(parent._bits[p:p + t]))
+        if c == 0:
+            return (p, 1)
+        # T * 2^(i+1) / gcd(c, 2^(i+1)) = T * 2^(i+1 - min(v2(c), i+1))
+        (i,) = node.nats
+        shift = i + 1 - min((c & -c).bit_length() - 1, i + 1)
+        shape = (p, t << shift) if shift <= _SHAPE_BITS else False
+    else:
+        x, y = (c._shape for c in node.children)
+        if x is None or y is None:
+            return None
+        shape = x and y and (max(x[0], y[0]), math.lcm(x[1], y[1]))
+    if shape and sum(shape) > _SHAPE_LIMIT:
+        return False
+    return shape
 
 
 def _compute_bits(node: LazySet, n: int) -> np.ndarray:
@@ -250,69 +351,22 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
         if b < n:
             out[b::a] = True
         return out
+    x = _prefix(node.children[0], n)
     if kind == "union":
-        return node.children[0]._bits[:n] | node.children[1]._bits[:n]
+        return x | _prefix(node.children[1], n)
     if kind == "inter":
-        return node.children[0]._bits[:n] & node.children[1]._bits[:n]
+        return x & _prefix(node.children[1], n)
     if kind == "diff":
-        return node.children[0]._bits[:n] & ~node.children[1]._bits[:n]
+        return x & ~_prefix(node.children[1], n)
     if kind == "piece":
         (i,) = node.nats
-        idx = np.flatnonzero(node.children[0]._bits[:n])
+        idx = np.flatnonzero(x)
         out = np.zeros(n, dtype=bool)
         if len(idx):
             ranks = np.arange(1, len(idx) + 1, dtype=np.int64)
             out[idx[_trailing_zeros_vec(ranks) == i]] = True
         return out
     raise AssertionError(kind)
-
-
-# ---------------------------------------------------------------------------
-# Slow path used as an independent oracle in tests: per-node sorted lists,
-# plain Python integers, no shared caches.
-
-def _slow_members(root: LazySet, n: int):
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        stack.extend((c, False) for c in node.children)
-    values = {}
-    for node in order:
-        kind = node.kind
-        if kind == "empty":
-            out = []
-        elif kind == "rows":
-            (k,) = node.nats
-            out = [m for m in range(n) if unpair(m)[0] < k]
-        elif kind == "ap":
-            a, b = node.nats
-            out = list(range(b, n, a))
-        elif kind in ("union", "inter", "diff"):
-            left = set(values[id(node.children[0])])
-            right = set(values[id(node.children[1])])
-            if kind == "union":
-                out = sorted(left | right)
-            elif kind == "inter":
-                out = sorted(left & right)
-            else:
-                out = sorted(left - right)
-        elif kind == "piece":
-            (i,) = node.nats
-            parent = values[id(node.children[0])]
-            out = [v for rank, v in enumerate(parent) if unpair(rank)[0] == i]
-        else:
-            raise AssertionError(kind)
-        values[id(node)] = out
-    return values[id(root)]
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,15 @@ def write(tmp_path, name, text):
     return str(p)
 
 
-def run_fresh(*argv, timeout=120, **env):
-    """Run the CLI in a new interpreter, so no set interned by an earlier
-    test, and no cap it set, can change the outcome."""
+MAIN = "import sys; from ordchain.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_fresh(*argv, timeout=120, code=MAIN, **env):
+    """Run the CLI (`code`) in a new interpreter, so no set interned by an
+    earlier test, and no cap it set, can change the outcome."""
     src = str(Path(ordchain.__file__).resolve().parents[1])
     return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from ordchain.cli import main; sys.exit(main(sys.argv[1:]))",
-         *argv],
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=src, **env),
         capture_output=True, text=True, timeout=timeout)
 
@@ -184,6 +185,22 @@ def test_embed_malformed_ordinal(capsys):
     code, _, err = run(capsys, "embed", "--ordinal", "w^^2")
     assert code == 2
     assert "parse error" in err
+
+
+def test_embed_empty_surplus_refuted_without_scan():
+    # the surplus diff(ap(4,0),ap(2,0)) is empty; folded at its period it is
+    # refuted without a scan to the cap (such a scan peaks near 478 MiB)
+    code = ("import resource, sys; from ordchain.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+            "sys.exit(rc)")
+    proc = run_fresh("embed", "--ordinal", "w", "--interval", "ap(2,0),ap(4,0)",
+                     code=code, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        "FAIL invalid interval certificate: surplus exhausted: found only 0 "
+        "elements of diff(ap(4,0),ap(2,0)) below 134217728\n")
+    assert int(proc.stderr.split()[-1]) < 100 * 1024     # KiB on Linux
 
 
 def test_embed_custom_interval(capsys):

@@ -1,11 +1,14 @@
 """Lazy set expressions: pairing bijection, membership, enumeration, grammar.
 
-The numpy-backed fast path is cross-checked against the pure-Python slow
-path and, for the leaf constructors, against direct formulas.
+The folded numpy fast path is cross-checked against two oracles kept here:
+`reference_bits`, an unfolded evaluation of every node's whole prefix, and
+`slow_members`, a pure-Python per-element evaluation; the leaf
+constructors are also checked against direct formulas.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 import ordchain.lazyset as lazyset
@@ -113,23 +116,197 @@ def test_member_edge_cases():
     assert empty().members_upto(100) == []
 
 
+# ---------------------------------------------------------------------------
+# Oracles.
+
+def post_order(root):
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((c, False) for c in node.children)
+    return order
+
+
+def slow_members(root, n):
+    """Sorted members < n: per-node sorted lists of plain Python integers,
+    no numpy and no shared caches."""
+    values = {}
+    for node in post_order(root):
+        kind = node.kind
+        if kind == "empty":
+            out = []
+        elif kind == "rows":
+            (k,) = node.nats
+            out = [m for m in range(n) if unpair(m)[0] < k]
+        elif kind == "ap":
+            a, b = node.nats
+            out = list(range(b, n, a))
+        elif kind == "piece":
+            (i,) = node.nats
+            parent = values[id(node.children[0])]
+            out = [v for rank, v in enumerate(parent) if unpair(rank)[0] == i]
+        else:
+            left = set(values[id(node.children[0])])
+            right = set(values[id(node.children[1])])
+            out = sorted(left | right if kind == "union" else
+                         left & right if kind == "inter" else left - right)
+        values[id(node)] = out
+    return values[id(root)]
+
+
+def reference_bits(root, n):
+    """Membership over [0, n), unfolded: every node's whole prefix, bottom
+    up, nothing cached."""
+    values = {}
+    for node in post_order(root):
+        kind = node.kind
+        if kind == "empty":
+            out = np.zeros(n, dtype=bool)
+        elif kind == "rows":
+            (k,) = node.nats
+            x = np.arange(1, n + 1, dtype=np.int64)
+            out = lazyset._trailing_zeros_vec(x) < k
+        elif kind == "ap":
+            a, b = node.nats
+            out = np.zeros(n, dtype=bool)
+            out[b::a] = True
+        elif kind == "piece":
+            (i,) = node.nats
+            idx = np.flatnonzero(values[id(node.children[0])])
+            ranks = np.arange(1, len(idx) + 1, dtype=np.int64)
+            out = np.zeros(n, dtype=bool)
+            out[idx[lazyset._trailing_zeros_vec(ranks) == i]] = True
+        else:
+            x, y = (values[id(c)] for c in node.children)
+            out = x | y if kind == "union" else x & y if kind == "inter" else x & ~y
+        values[id(node)] = out
+    return values[id(root)]
+
+
+def reference_member(ref, n):
+    cap = lazyset._SCAN_CAP
+    if n < 0:
+        return False
+    if n + 1 > cap:
+        raise ResourceLimitError(f"scan bound {n + 1} exceeds cap {cap}")
+    return bool(ref[n])
+
+
+def reference_bits_upto(ref, n):
+    cap = lazyset._SCAN_CAP
+    if n > cap:
+        raise ResourceLimitError(f"scan bound {n} exceeds cap {cap}")
+    return ref[:n]
+
+
+def reference_first_n(ref, expr, count):
+    """first_n by a prefix scan doubled up to the scan cap (`ref` reaches
+    the cap)."""
+    cap = lazyset._SCAN_CAP
+    if count <= 0:
+        return []
+    n = 1024
+    while True:
+        idx = np.flatnonzero(ref[:n])
+        if len(idx) >= count:
+            return idx[:count].tolist()
+        if n >= cap:
+            raise ResourceLimitError(
+                f"found only {len(idx)} elements of {expr} below {n}")
+        n = min(2 * n, cap)
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and text of what it raised."""
+    try:
+        out = f(*args)
+    except (ResourceLimitError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return out.tobytes() if isinstance(out, np.ndarray) else out
+
+
+def random_expr(rng, depth):
+    """Depth <= depth + 1.  ap(1,b) leaves make some differences finite;
+    sparse ap leaves give periods too long to fold below the probes."""
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice([
+            lambda: empty(),
+            lambda: rows(rng.randint(1, 4)),
+            lambda: ap(rng.randint(1, 7), rng.randint(0, 12)),
+            lambda: ap(1, rng.randint(0, 40)),
+            lambda: ap(rng.randint(2, 1 << 18), rng.randint(0, 1 << 18)),
+        ])()
+    op = rng.choice(["union", "inter", "diff", "piece", "piece"])
+    if op == "piece":
+        return piece(random_expr(rng, depth - 1), rng.randint(0, 3))
+    ctor = {"union": union, "inter": inter, "diff": diff}[op]
+    return ctor(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
+
+
 def test_slow_oracle_agrees_with_fast_path():
     rng = random.Random(13)
-    leaves = [lambda: rows(rng.randint(1, 3)),
-              lambda: ap(rng.randint(1, 5), rng.randint(0, 4))]
-
-    def random_expr(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return rng.choice(leaves)()
-        op = rng.choice(["union", "inter", "diff", "piece"])
-        if op == "piece":
-            return piece(random_expr(depth - 1), rng.randint(0, 2))
-        ctor = {"union": union, "inter": inter, "diff": diff}[op]
-        return ctor(random_expr(depth - 1), random_expr(depth - 1))
-
     for _ in range(40):
-        s = random_expr(3)
-        assert s.members_upto(1500) == s.members_upto_slow(1500)
+        s = random_expr(rng, 3)
+        assert s.members_upto(1500) == slow_members(s, 1500)
+
+
+FAR = 1 << 19
+CAPS = (1 << 27, 1 << 14, 1 << 20)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_folded_path_matches_reference(seed):
+    rng = random.Random(seed)
+    exprs = [random_expr(rng, 5) for _ in range(30)]
+    refs = [reference_bits(s, 1 << 20) for s in exprs]
+    probes = sorted(rng.sample(range(FAR), 60)) + [FAR - 1, (1 << 20) - 1]
+    # warm (sets may be shared with earlier tests), then after a purge with
+    # the caps in the other order, so caches built under one cap meet another
+    for caps in (CAPS, CAPS[::-1]):
+        for cap in caps:
+            lazyset.set_scan_cap(cap)
+            edge = [cap - 1, cap] if cap <= 1 << 20 else []
+            for s, ref in zip(exprs, refs):
+                for n in probes + edge:
+                    assert outcome(s.member, n) == outcome(reference_member, ref, n)
+                assert outcome(s.bits, FAR) == outcome(reference_bits_upto, ref, FAR)
+                if cap > 1 << 20:
+                    continue        # `ref` does not reach the default cap
+                for count in (1, 7, 64, 3000):
+                    assert outcome(s.first_n, count) == \
+                        outcome(reference_first_n, ref, s.expr, count)
+        lazyset.purge_caches()
+    # a folded node caches one preperiod plus one period, no more
+    lazyset.set_scan_cap(CAPS[0])
+    folded = 0
+    for s in exprs:
+        s.bits(FAR)
+        for node in post_order(s):
+            if node._shape:
+                assert len(node._bits) <= sum(node._shape)
+        folded += bool(s._shape) and sum(s._shape) <= FAR // 4
+    assert folded >= len(exprs) // 3
+
+
+def test_periods_past_any_bitmap_never_fold():
+    # periods 2^100 and 2^71: the shape is marked as never folding, and the
+    # node (and every set built on it) keeps growing a plain prefix
+    sets = [rows(100), piece(rows(100), 3), piece(ap(1, 0), 70),
+            union(piece(ap(1, 0), 70), ap(2, 0))]
+    for s in sets:
+        assert s.members_upto(3000) == slow_members(s, 3000)
+        assert s._shape is False and len(s._bits) >= 3000
+
+
+def test_point_probe_builds_no_long_prefix():
+    s = ap(10 ** 8, 3)
+    assert s.member(3) and not s.member(5)
+    assert len(s._bits) <= 1024
 
 
 def test_first_n_raises_on_finite_set():
@@ -138,6 +315,15 @@ def test_first_n_raises_on_finite_set():
     lazyset.set_scan_cap(1 << 14)
     with pytest.raises(ResourceLimitError):
         finite.first_n(4)
+
+
+def test_first_n_past_the_cap_on_folded_set():
+    # ceil((2^27 - 1) / 3) members of ap(3,1) lie below the default cap; a
+    # folded set counts them instead of listing a billion candidates
+    with pytest.raises(ResourceLimitError,
+                       match=r"found only 44739243 elements of ap\(3,1\) below 134217728"):
+        ap(3, 1).first_n(10 ** 9)
+    assert ap(3, 1).enumerate(10 ** 6) == 3 * 10 ** 6 + 1
 
 
 def test_scan_cap_enforced():
