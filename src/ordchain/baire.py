@@ -1,11 +1,13 @@
 """Indicator functions of lower cones in a certified mod-finite chain.
 
 For a chain family {x_i} the function f_x sends y to 1 exactly when y sits
-strictly below x in the chain.  Each value is backed by a certificate (or
-by irreflexivity when y is x itself); asking about an index the family
-cannot compare is an error, never a silent 0.  The sections below x are
-countable unions of sets cut out by "indicators eventually dominated",
-which is what FSigmaWitness records.
+strictly below x in the chain.  Calling f_x reads the value off the
+family's order; `evaluate` also derives, on demand, the certificate behind
+it, which the ChainFamily contract guarantees for every comparable pair
+(none when y is x itself, by irreflexivity).  Asking about an index the
+family cannot compare is an error, never a silent 0.  The sections below
+x are countable unions of sets cut out by "indicators eventually
+dominated", which is what FSigmaWitness records.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ class ChainFamily:
     """Interface: an index set with a strict order, lazily materialized
     members, and a certificate for every comparable pair."""
 
-    def indices(self):
-        raise NotImplementedError
-
     def has_index(self, i) -> bool:
         raise NotImplementedError
 
@@ -57,11 +56,7 @@ class EmbeddingFamily(ChainFamily):
 
     def __init__(self, embedding, index_sample: Sequence[Ordinal]):
         self.embedding = embedding
-        self._indices = list(index_sample)
-        self._known = set(self._indices)
-
-    def indices(self):
-        return list(self._indices)
+        self._known = set(index_sample)
 
     def has_index(self, i) -> bool:
         return i in self._known
@@ -91,9 +86,6 @@ class ExplicitFamily(ChainFamily):
                  certs: Dict[Tuple[int, int], OrderCertificate]):
         self.members = list(members)
         self.certs = dict(certs)
-
-    def indices(self):
-        return list(range(len(self.members)))
 
     def has_index(self, i) -> bool:
         return isinstance(i, int) and 0 <= i < len(self.members)
@@ -145,7 +137,9 @@ class BaireFunction:
         return 0, Justification("above", self.family.cert(self.pivot, y))
 
     def __call__(self, y) -> int:
-        return self.evaluate(y)[0]
+        if not self.family.has_index(y):
+            raise UnknownIndexError(f"index {y} not in family")
+        return 1 if self.family.order(y, self.pivot) < 0 else 0
 
 
 @dataclass(frozen=True)
@@ -194,18 +188,26 @@ def verify_chain_monotone(family: ChainFamily, pairs, depth: int,
     per pair, sorted deterministically by the given order.
     """
     report = ChainReport()
-    points = list(sample_points) if sample_points is not None else []
+    for check in monotone_checks(family, pairs, depth, sample_points or ()):
+        report.add(*check)
+    return report
+
+
+def monotone_checks(family: ChainFamily, pairs, depth: int, sample_points):
+    """verify_chain_monotone's checks as (label, reason) pairs, each yielded
+    as soon as its pair is checked, so a caller can print the line before
+    the next pair runs (or raises)."""
+    points = list(sample_points)
     for raw_i, raw_j in pairs:
         try:
             c = family.order(raw_i, raw_j)
         except (IncomparableError, UnknownIndexError) as exc:
-            report.add(f"PAIR {raw_i} {raw_j}", str(exc))
+            yield f"PAIR {raw_i} {raw_j}", str(exc)
             continue
         i, j = (raw_i, raw_j) if c <= 0 else (raw_j, raw_i)
         reason = "not strictly comparable" if c == 0 else \
             _check_pair(family, i, j, depth, points)
-        report.add(f"PAIR {family.label(i)} {family.label(j)}", reason)
-    return report
+        yield f"PAIR {family.label(i)} {family.label(j)}", reason
 
 
 def _check_pair(family, i, j, depth, points) -> Optional[str]:

@@ -18,6 +18,7 @@ On top of the certificates this module builds:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -107,7 +108,7 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
     except ResourceLimitError as exc:
         return Report(False, f"surplus exhausted: {exc}")
     if len(set(surplus)) != len(surplus):
-        dupe = next(s for s in surplus if surplus.count(s) > 1)
+        dupe = next(s for s, k in Counter(surplus).items() if k > 1)
         return Report(False, f"surplus repeats element {dupe}")
     for s in surplus:
         if not cert.upper.member(s):

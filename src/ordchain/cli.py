@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, List, Optional, Tuple
 
 from . import lazyset
-from .baire import EmbeddingFamily, verify_chain_monotone
+from .baire import EmbeddingFamily, monotone_checks
 from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     OrdinalEmbedding, SplitChain, default_certificate,
                     default_interval, parse_certificate, tree_child_certs,
@@ -123,10 +123,7 @@ def cmd_baire(args) -> int:
         if not xi.is_zero() else []
     indices = sorted({a for p in pairs for a in p})
     family = EmbeddingFamily(embedding, indices)
-    report = verify_chain_monotone(family, pairs, args.depth,
-                                   sample_points=indices[:5])
-    print(report.text)
-    return 0 if report.ok else 1
+    return _report(monotone_checks(family, pairs, args.depth, indices[:5]))
 
 
 def cmd_cont(args) -> int:

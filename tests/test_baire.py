@@ -6,13 +6,15 @@ import random
 import pytest
 
 from ordchain.baire import (BaireFunction, EmbeddingFamily, ExplicitFamily,
-                            FSigmaWitness, UnknownIndexError, fsigma_witness,
+                            FSigmaWitness, IncomparableError,
+                            UnknownIndexError, fsigma_witness,
                             verify_chain_monotone)
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
                             OrdinalEmbedding, default_certificate,
                             default_interval)
 from ordchain.lazyset import ap, diff, inter, union
 from ordchain.ordinal import Ordinal, parse_ordinal
+from ordchain.sampling import sample_comparable_pairs
 
 EVENS = ap(2, 0)
 MULT4 = ap(4, 0)
@@ -23,6 +25,23 @@ def omega_family(upto=8):
     emb = OrdinalEmbedding(parse_ordinal("w"), default_interval())
     indices = [Ordinal.from_int(k) for k in range(upto)]
     return EmbeddingFamily(emb, indices), indices
+
+
+def sampled_family(text, count, seed):
+    """The family `baire --ordinal text` checks: the indices of `count`
+    seeded pairs below the ordinal."""
+    xi = parse_ordinal(text)
+    pairs = sample_comparable_pairs(xi, count, random.Random(seed))
+    indices = sorted({a for p in pairs for a in p})
+    return EmbeddingFamily(OrdinalEmbedding(xi, default_interval()),
+                           indices), indices
+
+
+def chain_of_three():
+    certs = {(0, 1): default_certificate(MULT4, EVENS, 0),
+             (1, 2): default_certificate(EVENS, NATS, 0),
+             (0, 2): default_certificate(MULT4, NATS, 0)}
+    return ExplicitFamily([MULT4, EVENS, NATS], certs), [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +77,10 @@ def test_unknown_index_is_an_error():
     with pytest.raises(UnknownIndexError):
         f.evaluate(Ordinal.from_int(99))
     with pytest.raises(UnknownIndexError):
+        f(Ordinal.from_int(99))
+    with pytest.raises(UnknownIndexError):
+        BaireFunction(chain_of_three()[0], 0)(3)
+    with pytest.raises(UnknownIndexError):
         BaireFunction(family, Ordinal.from_int(99))
 
 
@@ -69,6 +92,47 @@ def test_every_value_is_justified():
             value, just = f.evaluate(y)
             assert value in (0, 1)
             assert (just.certificate is None) == (just.reason == "self")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sampled_family("w*2", 6, 1),
+    lambda: sampled_family("w^(2)+w*3+5", 6, 2),
+    lambda: sampled_family("w^(w)", 4, 3),
+    chain_of_three,
+], ids=["w*2", "w^(2)+w*3+5", "w^(w)", "explicit"])
+def test_call_agrees_with_evaluate(make):
+    family, idx = make()
+    assert len(idx) >= 3
+    for p in idx:
+        f = BaireFunction(family, p)
+        assert [f(y) for y in idx] == [f.evaluate(y)[0] for y in idx]
+
+
+class NoCertFamily(ExplicitFamily):
+    def cert(self, i, j):
+        raise AssertionError(f"cert({i}, {j}) derived")
+
+
+def test_call_derives_no_certificate():
+    family = NoCertFamily([MULT4, EVENS, NATS], {})
+    for p in range(3):
+        f = BaireFunction(family, p)
+        assert [f(y) for y in range(3)] == [int(y < p) for y in range(3)]
+
+
+class IncomparableFamily(ExplicitFamily):
+    def order(self, i, j):
+        if {i, j} == {0, 2}:
+            raise IncomparableError(f"{i} and {j} are incomparable")
+        return super().order(i, j)
+
+
+def test_call_propagates_incomparable():
+    family = IncomparableFamily([MULT4, EVENS, NATS], {})
+    f = BaireFunction(family, 2)
+    assert f(1) == 1 and f(2) == 0
+    with pytest.raises(IncomparableError):
+        f(0)
 
 
 # ---------------------------------------------------------------------------

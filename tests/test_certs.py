@@ -161,6 +161,28 @@ def test_verify_matches_reference(depth):
     assert {"OK", "element", "surplus"} <= set(reports)
 
 
+def test_repeated_surplus_matches_reference():
+    """The one-pass duplicate check names the same element as the
+    reference's quadratic scan: the first, in surplus order, whose value
+    occurs more than once."""
+    rng = random.Random(67)
+    surpluses = [[2, 6, 10, 6, 2], [2, 6, 10, 14, 14], [10, 6, 6, 10],
+                 [2, 6, 10, 14, 18, 2]]
+    for _ in range(200):
+        n = rng.randint(2, 120)
+        s = rng.sample(range(2, 8 * n, 4), n)
+        for _ in range(rng.randint(1, 4)):      # several repeats
+            s[rng.randrange(n)] = rng.choice(s)
+        if len(set(s)) == n:
+            s[-1] = s[rng.randrange(n - 1)]     # a repeat at the very end
+        surpluses.append(s)
+    for s in surpluses:
+        cert = OrderCertificate(MULT4, EVENS, 0, s)
+        report = verify_certificate(cert, len(s))
+        assert report == reference_verify(cert, len(s)), s
+        assert report.message.startswith("surplus repeats element ")
+
+
 def test_verify_matches_reference_under_low_scan_cap():
     sparse = piece(diff(rows(1), empty()), 11)      # one element, 4094, below 2^12
     corpus = oracle_corpus() + [default_certificate(empty(), sparse, 0)]

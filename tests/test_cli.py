@@ -94,6 +94,16 @@ GOLDEN = [
         "PAIR 2 w+1 OK\nPAIR 1 3 OK\nPAIR 1 w OK\nPAIR 2 w OK\n"
         "CHECKED 4 FAILED 0\n", id="baire"),
     pytest.param(
+        ["baire", "--ordinal", "w^(w)", "--pairs", "12", "--depth", "16",
+         "--seed", "3"], 0,
+        "PAIR w^(4) w^(4)+w^(3) OK\nPAIR w^(2)+w*2 w^(3)+w OK\n"
+        "PAIR w^(2) w^(4)+3 OK\nPAIR w^(2)+w w^(4)*2+w^(3)*2 OK\n"
+        "PAIR w^(3) w^(3)*2+w^(2)*2 OK\nPAIR w^(2) w^(4)+w^(3)*2 OK\n"
+        "PAIR w^(2)+2 w^(4)+3 OK\nPAIR 2 w^(2)+2 OK\n"
+        "PAIR w^(3)+3 w^(3)*2 OK\nPAIR 1 w^(4)+w*2 OK\n"
+        "PAIR w*2 w^(4)+w^(2) OK\nPAIR w^(4)+w^(2)*2 w^(4)+w^(3)*2 OK\n"
+        "CHECKED 12 FAILED 0\n", id="baire-limit-power"),
+    pytest.param(
         ["split", "--count", "2", "--depth", "8"], 0,
         "Z 1 union(inter(empty,rows(1)),piece(diff(rows(1),empty),0))\n"
         "Z 2 union(union(inter(empty,rows(1)),piece(diff(rows(1),empty),0)),"
@@ -134,6 +144,16 @@ def test_golden_output(capsys, tmp_path, monkeypatch, argv, code, out):
 
 def test_golden_output_streams_until_depth_cap():
     proc = run_fresh("embed", "--ordinal", "w^(w)", "--pairs", "40",
+                     "--depth", "4", TC_DEPTH_CAP="20")
+    assert (proc.returncode, proc.stdout) == (1, (
+        "PAIR w^(3)*2+3 w^(3)*2+w^(2)*2 OK\n"
+        "PAIR w*2+3 w^(4) OK\n"
+        "PAIR w^(2) w^(2)*2 OK\n"
+        "FAIL expression depth 21 exceeds cap 20\n"))
+
+
+def test_baire_streams_until_depth_cap():
+    proc = run_fresh("baire", "--ordinal", "w^(w)", "--pairs", "40",
                      "--depth", "4", TC_DEPTH_CAP="20")
     assert (proc.returncode, proc.stdout) == (1, (
         "PAIR w^(3)*2+3 w^(3)*2+w^(2)*2 OK\n"
