@@ -166,7 +166,7 @@ def fsigma_witness(x: LazySet, y: LazySet,
     `evidence` is either a certificate with lower == y, upper == x, or a
     plain exception bound (equality-mod-finite evidence)."""
     if isinstance(evidence, OrderCertificate):
-        if evidence.lower.expr != y.expr or evidence.upper.expr != x.expr:
+        if evidence.lower is not y or evidence.upper is not x:
             raise InvalidCertificateError(
                 "certificate endpoints do not match the given sets")
         m0 = evidence.bound
@@ -215,9 +215,9 @@ def _check_pair(family, i, j, depth, points) -> Optional[str]:
         cert = family.cert(i, j)
     except UnknownIndexError as exc:
         return str(exc)
-    if cert.lower.expr != family.member(i).expr:
+    if cert.lower is not family.member(i):
         return "certificate lower end is not x_i"
-    if cert.upper.expr != family.member(j).expr:
+    if cert.upper is not family.member(j):
         return "certificate upper end is not x_j"
     r = verify_certificate(cert, depth)
     if not r.ok:

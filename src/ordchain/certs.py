@@ -17,6 +17,7 @@ On top of the certificates this module builds:
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
                       escapes, inter, parse_set, piece, rows, union)
-from .ordinal import (Ordinal, add, compare, fundamental_sequence,
+from .ordinal import (ONE, Ordinal, compare, fundamental_sequence,
                       left_subtract)
 
 
@@ -159,11 +160,11 @@ class ChainReport:
 def compose_certs(c1: OrderCertificate, c2: OrderCertificate) -> OrderCertificate:
     """Transitivity: certificates for (x,y) and (y,z) give one for (x,z).
 
-    The middle sets must be expression-identical.  Surplus elements of the
+    The middle sets must be the same (interned) set.  Surplus elements of the
     second leg below the first exception bound are dropped; the rest cannot
     lie in x.
     """
-    if c1.upper.expr != c2.lower.expr:
+    if c1.upper is not c2.lower:
         raise InvalidCertificateError("middle sets do not match")
     bound = max(c1.bound, c2.bound)
     surplus = c2.surplus
@@ -231,8 +232,9 @@ class SplitChain:
             raise ValueError("need 1 <= a < b")
         return OrderCertificate(self.z(a), self.z(b), 0, self.slice_piece(a))
 
-    def cert_step(self, k: int) -> OrderCertificate:
-        return self.cert_between(k, k + 1)
+    def cert_slot(self, t: int) -> OrderCertificate:
+        """Slot t of the chain: (x, z_1) for t = 0, else (z_t, z_{t+1})."""
+        return self.cert_lower(1) if t == 0 else self.cert_between(t, t + 1)
 
     def cert_upper(self, k: int) -> OrderCertificate:
         """upper-end certificate: z_k strictly below y (k >= 1)."""
@@ -290,11 +292,7 @@ def tree_interval_cert(s: TreeAddress) -> OrderCertificate:
     s = _check_address(s)
     if len(s) == 1:
         return base_cert(s[0], s[0] + 1)
-    parent, a = s[:-1], s[-1]
-    chain = tree_split(parent)
-    if a == 0:
-        return chain.cert_lower(1)
-    return chain.cert_between(a, a + 1)
+    return tree_split(s[:-1]).cert_slot(s[-1])
 
 
 def tree_child_certs(s: TreeAddress, a: int, b: int):
@@ -314,7 +312,14 @@ def _is_pure_power(a: Ordinal) -> bool:
             and not a.terms[0][0].is_zero())
 
 
-_ONE = Ordinal.from_int(1)
+def _block_end(bound: Ordinal, t: int) -> Ordinal:
+    """Upper end of block t of `bound`, one coefficient unit per block: the
+    terms before the one block t falls in, then t + 1 units of that term."""
+    for i, (e, c) in enumerate(bound.terms):
+        if t < c:
+            return Ordinal(bound.terms[:i] + ((e, t + 1),))
+        t -= c
+    raise IndexError("block index past the bound")
 
 
 class OrdinalEmbedding:
@@ -332,61 +337,45 @@ class OrdinalEmbedding:
       coefficient unit per slot;
     * a single-point slot maps straight to the split point z_{t+1}.
 
-    Splits are memoized and evaluation is lazy per queried notation; slot
-    indices stay proportional to the coefficients along a notation's term
-    list, which keeps the derived surplus sets scannable.
+    Segments and blocks alike are built on demand, so a large coefficient
+    costs nothing up front: slot ends are built in order as far as a query
+    reaches, and a slot's start and type only once a query lands in the
+    slot.  Splits are memoized and evaluation is lazy per queried notation;
+    slot indices stay proportional to the coefficients along a notation's
+    term list, which keeps the derived surplus sets scannable.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate,
                  validate: bool = True):
-        if validate and not isinstance(interval.surplus, LazySet):
-            raise InvalidCertificateError("embedding needs a set-backed surplus")
-        if validate:
-            r = verify_certificate(interval, 4)
-            if not r.ok:
-                raise InvalidCertificateError(
-                    f"invalid interval certificate: {r.message}")
         self.bound = bound
         self.interval = interval
-        self._chain: Optional[SplitChain] = None
+        self._chain = SplitChain(interval, validate)
         self._subs: Dict[int, "OrdinalEmbedding"] = {}
-        # per slot index: its upper boundary, and (start, type, is unit)
+        # upper boundaries of slots 0, 1, ..., and (start, type, is unit)
+        # per slot index
         self._ends: List[Ordinal] = []
-        self._slots: List[Tuple[Ordinal, Ordinal, bool]] = []
+        self._slots: Dict[int, Tuple[Ordinal, Ordinal, bool]] = {}
         if _is_pure_power(bound):
-            # segments, built on demand by _end and _slot
-            self._fs = fundamental_sequence(bound)
+            self._next_end = fundamental_sequence(bound)
         else:
-            # blocks, all built here; none if bound is zero
-            acc = Ordinal()
-            for e, c in bound.terms:
-                unit = Ordinal(((e, 1),)) if not e.is_zero() else _ONE
-                for _ in range(c):
-                    self._slots.append((acc, unit, e.is_zero()))
-                    acc = add(acc, unit)
-                    self._ends.append(acc)
+            self._next_end = functools.partial(_block_end, bound)
 
     # -- structure ---------------------------------------------------------
-
-    def _split_chain(self) -> SplitChain:
-        if self._chain is None:
-            self._chain = SplitChain(self.interval, validate=False)
-        return self._chain
 
     def _end(self, t: int) -> Ordinal:
         """Upper boundary of slot t."""
         while len(self._ends) <= t:
-            self._ends.append(self._fs(len(self._ends)))
+            self._ends.append(self._next_end(len(self._ends)))
         return self._ends[t]
 
     def _slot(self, t: int) -> Tuple[Ordinal, Ordinal, bool]:
         """(start, type, whether the type is 1) of slot t."""
-        while len(self._slots) <= t:
-            k = len(self._slots)
-            start = self._end(k - 1) if k else Ordinal()
-            otype = left_subtract(start, self._end(k))
-            self._slots.append((start, otype, compare(otype, _ONE) == 0))
-        return self._slots[t]
+        slot = self._slots.get(t)
+        if slot is None:
+            start = self._end(t - 1) if t else Ordinal()
+            otype = left_subtract(start, self._end(t))
+            slot = self._slots[t] = (start, otype, compare(otype, ONE) == 0)
+        return slot
 
     def _is_unit(self, t: int) -> bool:
         return self._slot(t)[2]
@@ -394,9 +383,8 @@ class OrdinalEmbedding:
     def _sub(self, t: int) -> "OrdinalEmbedding":
         sub = self._subs.get(t)
         if sub is None:
-            chain = self._split_chain()
-            seg_cert = chain.cert_lower(1) if t == 0 else chain.cert_between(t, t + 1)
-            sub = OrdinalEmbedding(self._slot(t)[1], seg_cert, validate=False)
+            sub = OrdinalEmbedding(self._slot(t)[1], self._chain.cert_slot(t),
+                                   validate=False)
             self._subs[t] = sub
         return sub
 
@@ -418,7 +406,7 @@ class OrdinalEmbedding:
         self._require_below(alpha)
         t, off = self._locate(alpha)
         if self._is_unit(t):
-            return self._split_chain().z(t + 1)
+            return self._chain.z(t + 1)
         return self._sub(t).member(off)
 
     def cert(self, alpha: Ordinal, beta: Ordinal) -> OrderCertificate:
@@ -430,17 +418,16 @@ class OrdinalEmbedding:
         tb, offb = self._locate(beta)
         if ta == tb:
             return self._sub(ta).cert(offa, offb)
-        chain = self._split_chain()
         # climb from e(alpha) up to z_{ta+1}, along the chain, into slot tb
         legs: List[OrderCertificate] = []
         if not self._is_unit(ta):
             legs.append(self._sub(ta).upper_cert(offa))
         exit_level = ta + 1
         if self._is_unit(tb):
-            legs.append(chain.cert_between(exit_level, tb + 1))
+            legs.append(self._chain.cert_between(exit_level, tb + 1))
         else:
             if exit_level < tb:
-                legs.append(chain.cert_between(exit_level, tb))
+                legs.append(self._chain.cert_between(exit_level, tb))
             legs.append(self._sub(tb).lower_cert(offb))
         out = legs[0]
         for leg in legs[1:]:
@@ -451,23 +438,21 @@ class OrdinalEmbedding:
         """Certificate for interval-lower strictly below e(alpha)."""
         self._require_below(alpha)
         t, off = self._locate(alpha)
-        chain = self._split_chain()
         if self._is_unit(t):
-            return chain.cert_lower(t + 1)
+            return self._chain.cert_lower(t + 1)
         inner = self._sub(t).lower_cert(off)
         if t == 0:
             return inner
-        return compose_certs(chain.cert_lower(t), inner)
+        return compose_certs(self._chain.cert_lower(t), inner)
 
     def upper_cert(self, alpha: Ordinal) -> OrderCertificate:
         """Certificate for e(alpha) strictly below interval-upper."""
         self._require_below(alpha)
         t, off = self._locate(alpha)
-        chain = self._split_chain()
         if self._is_unit(t):
-            return chain.cert_upper(t + 1)
+            return self._chain.cert_upper(t + 1)
         return compose_certs(self._sub(t).upper_cert(off),
-                             chain.cert_upper(t + 1))
+                             self._chain.cert_upper(t + 1))
 
 
 def default_interval() -> OrderCertificate:

@@ -160,9 +160,8 @@ def cmd_split(args) -> int:
     chain = SplitChain(_interval_cert(args.interval, args.bound))
     for k in range(1, args.count + 1):
         print(f"Z {k} {chain.z(k).expr}")
-    checks = [("x", "z1", chain.cert_lower(1))]
-    checks += [(f"z{k}", f"z{k + 1}", chain.cert_step(k))
-               for k in range(1, args.count)]
+    checks = [("x" if k == 0 else f"z{k}", f"z{k + 1}", chain.cert_slot(k))
+              for k in range(args.count)]
     checks.append((f"z{args.count}", "y", chain.cert_upper(args.count)))
     return _report((f"PAIR {lo} {hi}", _probe(c, args.depth))
                    for lo, hi, c in checks)
@@ -174,7 +173,7 @@ def cmd_tree(args) -> int:
 
     # a generator, so EXTEND0 is out before tree_child_certs can raise
     def checks():
-        extends = tree_node(args.address + (0,)).expr == node.expr
+        extends = tree_node(args.address + (0,)) is node
         yield "EXTEND0", None if extends else ""
         labels = [("s", f"s~{args.a}"), (f"s~{args.a}", f"s~{args.b}"),
                   (f"s~{args.b}", "s+")]

@@ -192,6 +192,12 @@ def fundamental_sequence(a: Ordinal) -> FundamentalSequence:
 
 _TOKEN = re.compile(r"\s*(\d+|w|\^|\(|\)|\*|\+)")
 
+# Deepest "w^(" nesting that parses.  Comparing, hashing and stepping the
+# fundamental sequence recurse 3-4 frames per level: called from 120 frames
+# deep under Python's default recursion limit they first fail past 200
+# levels, twice this cap.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     out, pos = [], 0
@@ -210,6 +216,7 @@ class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -252,7 +259,11 @@ class _Parser:
         if self.peek() == "^":
             self.take("^")
             self.take("(")
+            self.nesting += 1
+            if self.nesting > MAX_NESTING:
+                raise OrdinalParseError(f"w^( nested deeper than {MAX_NESTING}")
             exponent = self.ordinal()
+            self.nesting -= 1
             self.take(")")
             if exponent.is_zero():
                 raise OrdinalParseError("w^(0) is non-canonical; write 1")

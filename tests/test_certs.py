@@ -1,6 +1,7 @@
 """Certificates for strict mod-finite containment, interval splitting,
 the address tree, and ordinal embeddings."""
 
+import functools
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from ordchain.certs import (InvalidCertificateError, OrderCertificate,
                             verify_certificate)
 from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
                               empty, inter, parse_set, piece, rows, union)
-from ordchain.ordinal import Ordinal, compare, parse_ordinal
+from ordchain.ordinal import ONE, Ordinal, add, compare, parse_ordinal
 from ordchain.sampling import sample_comparable_pairs
 
 NATS = ap(1, 0)
@@ -125,7 +126,7 @@ def oracle_corpus():
                   SplitChain(default_certificate(
                       union(diff(NATS, ap(1, 3)), MULT4), EVENS, 2))):
         certs += [chain.cert_lower(1), chain.cert_lower(3),
-                  chain.cert_between(1, 4), chain.cert_step(2),
+                  chain.cert_between(1, 4), chain.cert_slot(2),
                   chain.cert_upper(3)]
     certs += tree_child_certs((1, 2), 1, 3) + tree_child_certs((2,), 2, 3)
     rng = random.Random(51)
@@ -316,7 +317,7 @@ def test_split_certs_all_valid():
     assert_valid(chain.cert_lower(1))
     assert_valid(chain.cert_lower(3))
     for k in range(1, 5):
-        assert_valid(chain.cert_step(k))
+        assert_valid(chain.cert_slot(k))
         assert_valid(chain.cert_upper(k))
     assert_valid(chain.cert_between(1, 4))
 
@@ -327,7 +328,7 @@ def test_split_keeps_exception_bound():
     cert = default_certificate(lower, EVENS, 2)
     chain = SplitChain(cert)
     assert chain.cert_lower(1).bound == 2
-    assert chain.cert_step(1).bound == 0
+    assert chain.cert_slot(1).bound == 0
     assert_valid(chain.cert_lower(2))
 
 
@@ -440,6 +441,65 @@ def test_embed_rejects_invalid_interval():
     with pytest.raises(InvalidCertificateError):
         OrdinalEmbedding(parse_ordinal("w"),
                          default_certificate(EVENS, MULT4, 0))
+
+
+def test_embed_invalid_interval_message():
+    with pytest.raises(InvalidCertificateError,
+                       match="^invalid interval certificate: surplus exhausted"):
+        OrdinalEmbedding(parse_ordinal("w"),
+                         default_certificate(EVENS, MULT4, 0))
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_embed_rejects_explicit_surplus_at_construction(validate):
+    explicit = OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14])
+    with pytest.raises(InvalidCertificateError,
+                       match="split needs a set-backed surplus"):
+        OrdinalEmbedding(parse_ordinal("w*2"), explicit, validate=validate)
+
+
+def reference_blocks(bound):
+    """Block slots as they were built before slots came on demand: all at
+    construction, one per coefficient unit.  The end and (start, type,
+    is unit) of every block, an oracle for OrdinalEmbedding._end/_slot."""
+    ends, slots = [], []
+    acc = Ordinal()
+    for e, c in bound.terms:
+        unit = Ordinal(((e, 1),)) if not e.is_zero() else ONE
+        for _ in range(c):
+            slots.append((acc, unit, e.is_zero()))
+            acc = add(acc, unit)
+            ends.append(acc)
+    return ends, slots
+
+
+def random_bound(rng, depth):
+    """Up to four terms with coefficients up to 30; exponents are finite or
+    themselves random bounds, nested `depth` deep."""
+    pool = [Ordinal.from_int(k) for k in range(4)]
+    pool += [random_bound(rng, depth - 1) for _ in range(3 if depth else 0)]
+    pool = sorted(set(pool), key=functools.cmp_to_key(compare), reverse=True)
+    exponents = sorted(rng.sample(range(len(pool)), rng.randint(1, 4)))
+    return Ordinal(tuple((pool[i], rng.randint(1, 30)) for i in exponents))
+
+
+def test_block_slots_match_reference():
+    rng = random.Random(53)
+    checked = 0
+    while checked < 300:
+        bound = random_bound(rng, rng.randint(0, 2))
+        if len(bound.terms) == 1 and bound.terms[0][1] == 1 \
+                and not bound.terms[0][0].is_zero():
+            continue                        # a limit power: segments
+        ends, slots = reference_blocks(bound)
+        emb = OrdinalEmbedding(bound, default_interval(), validate=False)
+        order = list(range(len(ends)))
+        if checked % 2:
+            order.reverse()                 # ask for the last block first
+        for t in order:
+            assert emb._end(t) == ends[t]
+            assert emb._slot(t) == slots[t]
+        checked += 1
 
 
 def test_embed_interval_endpoints_certified():

@@ -11,6 +11,7 @@ import pytest
 import ordchain
 from ordchain.cli import USAGE_ERROR, main
 from ordchain.metric import format_eval
+from ordchain.ordinal import MAX_NESTING
 
 TWO_POINT = """\
 points 2
@@ -90,6 +91,13 @@ GOLDEN = [
         "elements of diff(ap(4,0),ap(2,0)) below 134217728\n",
         id="embed-invalid-interval"),
     pytest.param(
+        ["embed", "--ordinal", "w^(2)*2+w*3+4", "--interval", "ap(4,0),ap(2,0)",
+         "--pairs", "10", "--depth", "16", "--seed", "5"], 0,
+        "PAIR w w^(2)*2+1 OK\nPAIR 3 w*2 OK\nPAIR w*2 w^(2)*2+2 OK\n"
+        "PAIR w*2 w^(2)*2 OK\nPAIR w*2+1 w^(2)*2 OK\nPAIR w*2 w^(2)+w OK\n"
+        "PAIR w*2+2 w^(2)+w OK\nPAIR 2 w*2+2 OK\nPAIR 2 w^(2)*2 OK\n"
+        "PAIR w w^(2)+w OK\nCHECKED 10 FAILED 0\n", id="embed-blocks-interval"),
+    pytest.param(
         ["baire", "--ordinal", "w*2", "--pairs", "4", "--depth", "8"], 0,
         "PAIR 2 w+1 OK\nPAIR 1 3 OK\nPAIR 1 w OK\nPAIR 2 w OK\n"
         "CHECKED 4 FAILED 0\n", id="baire"),
@@ -103,6 +111,12 @@ GOLDEN = [
         "PAIR w^(3)+3 w^(3)*2 OK\nPAIR 1 w^(4)+w*2 OK\n"
         "PAIR w*2 w^(4)+w^(2) OK\nPAIR w^(4)+w^(2)*2 w^(4)+w^(3)*2 OK\n"
         "CHECKED 12 FAILED 0\n", id="baire-limit-power"),
+    pytest.param(
+        ["baire", "--ordinal", "w*3+2", "--pairs", "8", "--depth", "8",
+         "--seed", "2"], 0,
+        "PAIR 1 2 OK\nPAIR w w*2 OK\nPAIR w w*2 OK\nPAIR 1 2 OK\nPAIR 3 w OK\n"
+        "PAIR w+3 w*2 OK\nPAIR 1 w*2 OK\nPAIR 2 w+2 OK\nCHECKED 8 FAILED 0\n",
+        id="baire-blocks"),
     pytest.param(
         ["split", "--count", "2", "--depth", "8"], 0,
         "Z 1 union(inter(empty,rows(1)),piece(diff(rows(1),empty),0))\n"
@@ -221,6 +235,36 @@ def test_embed_empty_surplus_refuted_without_scan():
         "FAIL invalid interval certificate: surplus exhausted: found only 0 "
         "elements of diff(ap(4,0),ap(2,0)) below 134217728\n")
     assert int(proc.stderr.split()[-1]) < 100 * 1024     # KiB on Linux
+
+
+def test_embed_large_coefficient_builds_no_block_up_front():
+    # blocks are built as pairs reach them, so ten million coefficient units
+    # cost nothing up front
+    code = ("import resource, sys; from ordchain.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+            "sys.exit(rc)")
+    proc = run_fresh("embed", "--ordinal", "w*10000000", "--pairs", "2",
+                     "--depth", "4", code=code, timeout=20)
+    assert (proc.returncode, proc.stdout) == (
+        0, "PAIR w+1 w*2+3 OK\nPAIR 2 w OK\nCHECKED 2 FAILED 0\n")
+    assert int(proc.stderr.split()[-1]) < 100 * 1024     # KiB on Linux
+
+
+def test_embed_at_the_nesting_cap(capsys):
+    from test_ordinal import tower
+    code, out, err = run(capsys, "embed", "--ordinal", tower(MAX_NESTING),
+                         "--pairs", "0")
+    assert (code, out, err) == (0, "CHECKED 0 FAILED 0\n", "")
+
+
+@pytest.mark.parametrize("command", ["embed", "baire"])
+def test_nesting_past_the_cap_is_a_parse_error(command):
+    from test_ordinal import tower
+    proc = run_fresh(command, "--ordinal", tower(MAX_NESTING + 1), "--pairs", "1")
+    assert (proc.returncode, proc.stdout) == (USAGE_ERROR, "")
+    assert proc.stderr.startswith("parse error:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_embed_custom_interval(capsys):

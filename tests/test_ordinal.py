@@ -9,8 +9,8 @@ import random
 
 import pytest
 
-from ordchain.ordinal import (LT, EQ, GT, OMEGA, ONE, ZERO, Ordinal,
-                              OrdinalParseError, add, classify, compare,
+from ordchain.ordinal import (LT, EQ, GT, MAX_NESTING, OMEGA, ONE, ZERO,
+                              Ordinal, OrdinalParseError, add, classify, compare,
                               format_ordinal, fundamental_sequence,
                               left_subtract, parse_ordinal)
 from ordchain.sampling import random_notation, sample_below
@@ -96,6 +96,38 @@ def test_roundtrip_random(ordinal_rng=random.Random(11)):
         a = random_notation(ordinal_rng, max_exponent=5, max_coeff=6,
                             max_terms=4, max_nat=12)
         assert parse_ordinal(format_ordinal(a)) == a
+
+
+def tower(nesting):
+    """w^(w^(...w)) with `nesting` levels of w^( ."""
+    return "w^(" * nesting + "w" + ")" * nesting
+
+
+def deeper(frames, fn):
+    """Call fn from `frames` more stack frames than the caller's."""
+    return fn() if frames == 0 else deeper(frames - 1, fn)
+
+
+def test_nesting_cap_leaves_stack_to_spare():
+    text = tower(MAX_NESTING)
+
+    def ops():
+        a, b = parse_ordinal(text), parse_ordinal(text)
+        assert format_ordinal(a) == text
+        assert compare(a, b) == EQ and a == b and hash(a) == hash(b)
+        fs = fundamental_sequence(a)
+        for k in range(3):
+            assert compare(fs(k), a) == LT
+
+    deeper(120, ops)
+
+
+def test_nesting_past_the_cap_rejected():
+    with pytest.raises(OrdinalParseError, match=f"deeper than {MAX_NESTING}"):
+        parse_ordinal(tower(MAX_NESTING + 1))
+    # only open w^( levels count, not terms side by side
+    wide = "+".join(f"w^({e})" for e in range(3 * MAX_NESTING, 1, -1))
+    assert len(parse_ordinal(wide).terms) == 3 * MAX_NESTING - 1
 
 
 # ---------------------------------------------------------------------------
