@@ -248,8 +248,6 @@ class SplitChain:
 
 TreeAddress = Tuple[int, ...]
 
-_tree_splits: Dict[TreeAddress, SplitChain] = {}
-
 
 def _check_address(s: TreeAddress) -> TreeAddress:
     s = tuple(s)
@@ -269,13 +267,8 @@ def normalize_address(s: TreeAddress) -> TreeAddress:
 
 
 def tree_split(s: TreeAddress) -> SplitChain:
-    """Split of the interval (x_s, x_{s+}), memoized per literal address."""
-    s = _check_address(s)
-    chain = _tree_splits.get(s)
-    if chain is None:
-        chain = SplitChain(tree_interval_cert(s), validate=False)
-        _tree_splits[s] = chain
-    return chain
+    """Split of (x_s, x_{s+}), rebuilt per call: its sets are interned."""
+    return SplitChain(tree_interval_cert(s), validate=False)
 
 
 def tree_node(s: TreeAddress) -> LazySet:
@@ -299,7 +292,7 @@ def tree_child_certs(s: TreeAddress, a: int, b: int):
     """Certificates for x_s < x_{s~a} < x_{s~b} < x_{s+} with 0 < a < b."""
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    chain = tree_split(_check_address(s))
+    chain = tree_split(s)
     return chain.cert_lower(a), chain.cert_between(a, b), chain.cert_upper(b)
 
 

@@ -45,7 +45,7 @@ def _input_problem(args) -> Optional[str]:
             lazyset.set_depth_cap(int(cap))
         except ValueError:
             return f"bad TC_DEPTH_CAP: {cap!r}"
-    for flag, least in (("depth", 1), ("count", 1), ("truncate", 0)):
+    for flag, least in (("depth", 1), ("count", 1), ("truncate", 0), ("bound", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             return f"--{flag} must be >= {least}"
@@ -248,10 +248,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except (OrdinalParseError, SetParseError, SpaceParseError) as exc:
+    except (OrdinalParseError, SetParseError, SpaceParseError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except NoPairsError as exc:

@@ -12,8 +12,9 @@ progression {a*n+b : n in N}, a >= 1.  `piece(p, i)` selects the elements
 of p whose enumeration index lies in row i of the pairing; a piece of an
 infinite set is therefore infinite by construction.
 
-Nodes are interned by their canonical serialization, so structurally equal
-expressions are the same object and share membership caches.
+Nodes are interned on (constructor, naturals, interned children), so equal
+expressions are the same object, share caches and compare with `is`, at
+one table lookup per node.  The text `expr` is written only when asked for.
 
 Every set in the grammar is eventually periodic: from its preperiod P on,
 n and n + T are members together, for its period T.  The shape (P, T)
@@ -107,20 +108,39 @@ _INTERN = {}
 class LazySet:
     """Interned expression node; construct via the module factories."""
 
-    __slots__ = ("kind", "nats", "children", "expr", "depth", "_bits", "_shape")
+    __slots__ = ("kind", "nats", "children", "depth", "_text", "_bits", "_shape")
 
-    def __init__(self, kind, nats, children, expr, depth):
+    def __init__(self, kind, nats, children, depth):
         self.kind = kind
         self.nats = nats
         self.children = children
-        self.expr = expr
         self.depth = depth
+        self._text = None
         self._bits = np.zeros(0, dtype=bool)
         # (P, T) once known, False if P + T passes _SHAPE_LIMIT
         self._shape = None
 
     def __repr__(self):
         return f"LazySet<{self.expr}>"
+
+    @property
+    def expr(self) -> str:
+        """The canonical text, written on first use from an explicit stack
+        (no recursion) and kept; a child's kept text is copied whole."""
+        if self._text is None:
+            out, stack = [], [self]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, str):
+                    out.append(item)
+                elif item._text is not None or item.kind == "empty":
+                    out.append(item._text or "empty")
+                else:   # kind(children..., nats...), comma-separated
+                    parts = (*item.children, *map(str, item.nats))
+                    commas = [t for part in parts[1:] for t in (",", part)]
+                    stack += reversed([item.kind + "(", parts[0], *commas, ")"])
+            self._text = "".join(out)
+        return self._text
 
     # -- membership -------------------------------------------------------
 
@@ -147,10 +167,6 @@ class LazySet:
     def members_upto(self, n: int):
         """Sorted members < n."""
         return [int(v) for v in np.flatnonzero(self.bits(n))]
-
-    def enumerate(self, k: int) -> int:
-        """The k-th smallest element (0-based)."""
-        return self.first_n(k + 1)[k]
 
     def first_n(self, count: int):
         """The `count` smallest elements; ResourceLimitError if fewer lie
@@ -184,19 +200,21 @@ class LazySet:
         return pre.tolist() + (period[k % len(period)] + k // len(period) * t).tolist()
 
 
-def _make(kind, nats, children, expr):
-    node = _INTERN.get(expr)
+def _make(kind, nats, children):
+    # children are interned, so they hash and compare by identity
+    key = (kind, nats, children)
+    node = _INTERN.get(key)
     if node is None:
         depth = 1 + max((c.depth for c in children), default=0)
-        node = LazySet(kind, nats, children, expr, depth)
-    # checked on a hit too: the cap may have been lowered since
+        node = _INTERN[key] = LazySet(kind, nats, children, depth)
+    # checked on every lookup, not at insertion: the cap may change later
     if node.depth > _DEPTH_CAP:
         raise ResourceLimitError(f"expression depth {node.depth} exceeds cap {_DEPTH_CAP}")
-    return _INTERN.setdefault(expr, node)
+    return node
 
 
 def empty() -> LazySet:
-    return _make("empty", (), (), "empty")
+    return _make("empty", (), ())
 
 
 def rows(k: int) -> LazySet:
@@ -204,36 +222,38 @@ def rows(k: int) -> LazySet:
         raise ValueError("rows(k) needs k >= 0")
     if k == 0:
         return empty()
-    return _make("rows", (k,), (), f"rows({k})")
+    return _make("rows", (k,), ())
 
 
 def ap(a: int, b: int) -> LazySet:
     if a < 1 or b < 0:
         raise ValueError("ap(a,b) needs a >= 1, b >= 0")
-    return _make("ap", (a, b), (), f"ap({a},{b})")
+    return _make("ap", (a, b), ())
 
 
 def union(x: LazySet, y: LazySet) -> LazySet:
-    return _make("union", (), (x, y), f"union({x.expr},{y.expr})")
+    return _make("union", (), (x, y))
 
 
 def inter(x: LazySet, y: LazySet) -> LazySet:
-    return _make("inter", (), (x, y), f"inter({x.expr},{y.expr})")
+    return _make("inter", (), (x, y))
 
 
 def diff(x: LazySet, y: LazySet) -> LazySet:
-    return _make("diff", (), (x, y), f"diff({x.expr},{y.expr})")
+    return _make("diff", (), (x, y))
 
 
 def piece(parent: LazySet, i: int) -> LazySet:
     if i < 0:
         raise ValueError("piece index must be a natural")
-    return _make("piece", (i,), (parent,), f"piece({parent.expr},{i})")
+    return _make("piece", (i,), (parent,))
 
 
 def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
     """The elements of x outside y in [lo, hi), ascending: one bitmap
     comparison, x & ~y."""
+    if lo < 0:
+        raise ValueError("escapes needs lo >= 0")
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
     return lo + np.flatnonzero(x.bits(hi)[lo:] & ~y.bits(hi)[lo:])

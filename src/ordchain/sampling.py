@@ -16,6 +16,7 @@ MAX_EXPONENT = 4
 MAX_COEFF = 2
 MAX_TERMS = 2
 MAX_TRAILING_NAT = 3
+MAX_TRIES = 10000
 
 
 def random_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
@@ -43,30 +44,29 @@ def _finite(a: Ordinal) -> Optional[int]:
     return c if e.is_zero() else None
 
 
-def sample_below(bound: Ordinal, rng: random.Random,
-                 max_tries: int = 10000, **profile) -> Ordinal:
+def sample_below(bound: Ordinal, rng: random.Random) -> Ordinal:
     """A notation strictly below `bound`: uniform below a finite bound,
     else rejection-sampled from `random_notation`."""
     n = _finite(bound)
     if n is not None:
         return Ordinal.from_int(rng.randrange(n))
-    for _ in range(max_tries):
-        candidate = random_notation(rng, **profile)
+    for _ in range(MAX_TRIES):
+        candidate = random_notation(rng)
         if compare(candidate, bound) == LT:
             return candidate
     raise ValueError(f"could not sample below {bound}")
 
 
-def sample_comparable_pairs(bound: Ordinal, count: int, rng: random.Random,
-                            **profile) -> List[Tuple[Ordinal, Ordinal]]:
+def sample_comparable_pairs(bound: Ordinal, count: int,
+                            rng: random.Random) -> List[Tuple[Ordinal, Ordinal]]:
     """`count` pairs (a, b) with a < b < bound; NoPairsError if count is
     positive and bound is 0 or 1, which have no such pair."""
     if count > 0 and _finite(bound) in (0, 1):
         raise NoPairsError(f"no pair a < b lies below {format_ordinal(bound)}")
     out: List[Tuple[Ordinal, Ordinal]] = []
     while len(out) < count:
-        a = sample_below(bound, rng, **profile)
-        b = sample_below(bound, rng, **profile)
+        a = sample_below(bound, rng)
+        b = sample_below(bound, rng)
         c = compare(a, b)
         if c == 0:
             continue

@@ -373,6 +373,18 @@ def test_tree_three_way_example():
         assert_valid(c)
 
 
+def test_tree_nodes_are_found_again_without_a_memo():
+    from ordchain import certs
+    assert not hasattr(certs, "_tree_splits")
+    for s in [(0,), (2,), (1, 2), (0, 1, 3), (2, 0, 1)]:
+        assert tree_node(s) is tree_node(s)
+        lo, mid, hi = tree_child_certs(s, 1, 3)
+        plus = s[:-1] + (s[-1] + 1,)
+        assert lo.lower is tree_node(s) and lo.upper is tree_node(s + (1,))
+        assert mid.lower is tree_node(s + (1,)) and mid.upper is tree_node(s + (3,))
+        assert hi.lower is tree_node(s + (3,)) and hi.upper is tree_node(plus)
+
+
 def test_tree_snapshot():
     # regression pin for the concrete construction
     assert tree_node((0, 1)).first_n(5) == [0, 4, 8, 12, 16]

@@ -61,6 +61,17 @@ def run_fresh(*argv, timeout=120, code=MAIN, **env):
         capture_output=True, text=True, timeout=timeout)
 
 
+# The peak RSS in KiB of the interpreter that evaluates it, on Linux.  Not
+# ru_maxrss: exec carries the peak of the process that started the child
+# (pytest, at any size) into the child's ru_maxrss.
+PEAK_KIB = ("int(open('/proc/self/status').read()"
+            ".split('VmHWM:')[1].split()[0])")
+# MAIN, then the peak RSS on the last line of stderr
+MAIN_PEAK = ("import sys; from ordchain.cli import main; "
+             "rc = main(sys.argv[1:]); "
+             f"print({PEAK_KIB}, file=sys.stderr); sys.exit(rc)")
+
+
 # ---------------------------------------------------------------------------
 # golden output: exit code and the whole of stdout, byte for byte
 
@@ -224,31 +235,36 @@ def test_embed_malformed_ordinal(capsys):
 def test_embed_empty_surplus_refuted_without_scan():
     # the surplus diff(ap(4,0),ap(2,0)) is empty; folded at its period it is
     # refuted without a scan to the cap (such a scan peaks near 478 MiB)
-    code = ("import resource, sys; from ordchain.cli import main; "
-            "rc = main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-            "sys.exit(rc)")
     proc = run_fresh("embed", "--ordinal", "w", "--interval", "ap(2,0),ap(4,0)",
-                     code=code, timeout=60)
+                     code=MAIN_PEAK, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == (
         "FAIL invalid interval certificate: surplus exhausted: found only 0 "
         "elements of diff(ap(4,0),ap(2,0)) below 134217728\n")
-    assert int(proc.stderr.split()[-1]) < 100 * 1024     # KiB on Linux
+    assert int(proc.stderr.split()[-1]) < 100 * 1024
 
 
 def test_embed_large_coefficient_builds_no_block_up_front():
     # blocks are built as pairs reach them, so ten million coefficient units
     # cost nothing up front
-    code = ("import resource, sys; from ordchain.cli import main; "
-            "rc = main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
-            "sys.exit(rc)")
     proc = run_fresh("embed", "--ordinal", "w*10000000", "--pairs", "2",
-                     "--depth", "4", code=code, timeout=20)
+                     "--depth", "4", code=MAIN_PEAK, timeout=20)
     assert (proc.returncode, proc.stdout) == (
         0, "PAIR w+1 w*2+3 OK\nPAIR 2 w OK\nCHECKED 2 FAILED 0\n")
-    assert int(proc.stderr.split()[-1]) < 100 * 1024     # KiB on Linux
+    assert int(proc.stderr.split()[-1]) < 100 * 1024
+
+
+def test_long_split_chain_text_is_not_stored_per_node():
+    # z_2000 is 76,910 characters long; storing the text of each of the
+    # 4,004 nodes behind it took 76 M characters and peaked near 104 MiB
+    code = ("from ordchain.certs import SplitChain, default_interval; "
+            "from ordchain.lazyset import parse_set; "
+            "z = SplitChain(default_interval()).z(2000); "
+            f"print(len(z.expr), parse_set(z.expr) is z, {PEAK_KIB})")
+    proc = run_fresh(code=code, timeout=60)
+    length, same, rss = proc.stdout.split()
+    assert (proc.returncode, length, same) == (0, "76910", "True")
+    assert int(rss) < 64 * 1024
 
 
 def test_embed_at_the_nesting_cap(capsys):
@@ -357,6 +373,19 @@ def test_cont_asymmetric_file(capsys, tmp_path):
 def test_cont_missing_file(capsys):
     code, _, err = run(capsys, "cont", "--space", "/nonexistent.space")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "--cert"],
+                                  ["cont", "--check-all", "--space"]])
+def test_unreadable_input_file_is_usage_error(capsys, tmp_path, argv):
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\xff\xfe\x00")
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert (code, out) == (USAGE_ERROR, "")
+    assert "Is a directory" in err
+    code, out, err = run(capsys, *argv, str(binary))
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err.startswith("parse error:") and "utf-8" in err
 
 
 def test_cont_eval_out_of_range(capsys, tmp_path):
@@ -511,9 +540,16 @@ def test_depth_cap_env_applies(capsys, monkeypatch):
     ["cont", "--space", "far.space", "--eval", "0,1"],
     ["cont", "--space", "two.space", "--eval", "1,0", "--truncate", "100000"],
     ["cont", "--space", "negative.space", "--check-all"],
+    # the interval is false (1 is in lower, not upper); a negative bound
+    # once slipped the check past it
+    ["embed", "--ordinal", "w", "--bound=-3",
+     "--interval", "union(ap(4,0),diff(ap(1,1),ap(1,2))),ap(2,0)"],
+    ["split", "--bound=-3",
+     "--interval", "union(ap(4,0),diff(ap(1,1),ap(1,2))),ap(2,0)"],
 ], ids=["embed-depth", "baire-depth", "split-depth", "tree-depth",
         "split-count", "cont-eval", "cont-truncate", "tree-address",
-        "space-point-range", "cont-truncate-unprintable", "space-negative-count"])
+        "space-point-range", "cont-truncate-unprintable", "space-negative-count",
+        "embed-bound", "split-bound"])
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     write(tmp_path, "two.space", TWO_POINT)
     write(tmp_path, "far.space", TWO_POINT + "dist 0 5 1/1\n")

@@ -106,7 +106,7 @@ def test_enumerate_strictly_increasing_and_consistent():
         for e in elems[:50]:
             assert s.member(e)
         for k in range(50):
-            assert s.enumerate(k) == elems[k]
+            assert s.first_n(k + 1)[k] == elems[k]
 
 
 def test_member_edge_cases():
@@ -248,6 +248,49 @@ def random_expr(rng, depth):
     return ctor(random_expr(rng, depth - 1), random_expr(rng, depth - 1))
 
 
+def reference_text(s):
+    """The text rule the factories once applied as each node was built."""
+    if s.kind == "empty":
+        return "empty"
+    if s.kind == "rows":
+        return f"rows({s.nats[0]})"
+    if s.kind == "ap":
+        return f"ap({s.nats[0]},{s.nats[1]})"
+    if s.kind == "piece":
+        return f"piece({reference_text(s.children[0])},{s.nats[0]})"
+    x, y = s.children
+    return f"{s.kind}({reference_text(x)},{reference_text(y)})"
+
+
+def test_expr_matches_text_rule_and_rebuilds_intern():
+    for seed in range(60):
+        s = random_expr(random.Random(seed), 5)
+        assert random_expr(random.Random(seed), 5) is s
+        # ask in a shuffled order, so some nodes render with kept child
+        # text and some without
+        nodes = post_order(s)
+        random.Random(seed).shuffle(nodes)
+        for node in nodes:
+            assert node.expr == reference_text(node)
+        assert parse_set(s.expr) is s
+
+
+def test_deep_chain_renders_without_recursion():
+    s = ap(1, 0)
+    for i in range(5000):
+        s = union(s, piece(ap(2, 1), i % 3))
+    assert s.expr.startswith("union(" * 5000 + "ap(1,0),piece(ap(2,1),0))")
+    assert parse_set(s.expr) is s
+
+
+def test_escapes_rejects_negative_start():
+    # a negative start used to slice from the end of the bitmap
+    x = union(ap(4, 0), diff(ap(1, 1), ap(1, 2)))
+    assert lazyset.escapes(x, ap(2, 0), 0, 8).tolist() == [1]
+    with pytest.raises(ValueError):
+        lazyset.escapes(x, ap(2, 0), -3, 8)
+
+
 def test_slow_oracle_agrees_with_fast_path():
     rng = random.Random(13)
     for _ in range(40):
@@ -323,7 +366,7 @@ def test_first_n_past_the_cap_on_folded_set():
     with pytest.raises(ResourceLimitError,
                        match=r"found only 44739243 elements of ap\(3,1\) below 134217728"):
         ap(3, 1).first_n(10 ** 9)
-    assert ap(3, 1).enumerate(10 ** 6) == 3 * 10 ** 6 + 1
+    assert ap(3, 1).first_n(10 ** 6 + 1)[10 ** 6] == 3 * 10 ** 6 + 1
 
 
 def test_scan_cap_enforced():
