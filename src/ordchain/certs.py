@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
                       escapes, inter, parse_set, piece, rows, union)
-from .ordinal import (ONE, Ordinal, compare, fundamental_sequence,
-                      left_subtract)
+from .ordinal import (ONE, Ordinal, compare, fundamental_index,
+                      fundamental_sequence, left_subtract)
 
 
 class InvalidCertificateError(ValueError):
@@ -249,43 +249,24 @@ class SplitChain:
 TreeAddress = Tuple[int, ...]
 
 
-def _check_address(s: TreeAddress) -> TreeAddress:
+def tree_split(s: TreeAddress) -> SplitChain:
+    """Split of (x_s, x_{s+}), found by splitting (rows(s_0), rows(s_0 + 1))
+    and then, for each later entry a, the chain's slot a."""
     s = tuple(s)
     if not s:
         raise ValueError("tree address must be nonempty")
     if any((not isinstance(a, int)) or a < 0 for a in s):
         raise ValueError("tree address entries must be naturals")
-    return s
-
-
-def normalize_address(s: TreeAddress) -> TreeAddress:
-    """Extension by 0 does not move: trailing zeros are dropped."""
-    s = _check_address(s)
-    while len(s) > 1 and s[-1] == 0:
-        s = s[:-1]
-    return s
-
-
-def tree_split(s: TreeAddress) -> SplitChain:
-    """Split of (x_s, x_{s+}), rebuilt per call: its sets are interned."""
-    return SplitChain(tree_interval_cert(s), validate=False)
+    chain = SplitChain(base_cert(s[0], s[0] + 1), validate=False)
+    for a in s[1:]:
+        chain = SplitChain(chain.cert_slot(a), validate=False)
+    return chain
 
 
 def tree_node(s: TreeAddress) -> LazySet:
-    """The set at address s: length-1 addresses are the base chain and
-    x_{s~a} is the a-th split point of (x_s, x_{s+})."""
-    s = normalize_address(s)
-    if len(s) == 1:
-        return rows(s[0])
-    return tree_split(s[:-1]).z(s[-1])
-
-
-def tree_interval_cert(s: TreeAddress) -> OrderCertificate:
-    """Certificate for x_s strictly below x_{s+}."""
-    s = _check_address(s)
-    if len(s) == 1:
-        return base_cert(s[0], s[0] + 1)
-    return tree_split(s[:-1]).cert_slot(s[-1])
+    """The set x_s: length-1 addresses are the base chain and x_{s~a} is
+    the a-th split point of (x_s, x_{s+}), so x_{s~0} is x_s."""
+    return tree_split(s).x
 
 
 def tree_child_certs(s: TreeAddress, a: int, b: int):
@@ -315,6 +296,20 @@ def _block_end(bound: Ordinal, t: int) -> Ordinal:
     raise IndexError("block index past the bound")
 
 
+def _block_index(bound: Ordinal, alpha: Ordinal) -> int:
+    """The block of alpha < bound, the least t with alpha < _block_end(t):
+    the coefficient units alpha shares with the bound, plus alpha's
+    coefficient on the term where it leaves the bound."""
+    t = 0
+    for (e, c), (ae, ac) in zip(bound.terms, alpha.terms):
+        if ae != e:
+            break
+        t += ac
+        if ac != c:
+            break
+    return t
+
+
 class OrdinalEmbedding:
     """Order embedding of the notations below `bound` into a certified
     interval, with derivable certificates for every comparable pair.
@@ -330,12 +325,11 @@ class OrdinalEmbedding:
       coefficient unit per slot;
     * a single-point slot maps straight to the split point z_{t+1}.
 
-    Segments and blocks alike are built on demand, so a large coefficient
-    costs nothing up front: slot ends are built in order as far as a query
-    reaches, and a slot's start and type only once a query lands in the
-    slot.  Splits are memoized and evaluation is lazy per queried notation;
-    slot indices stay proportional to the coefficients along a notation's
-    term list, which keeps the derived surplus sets scannable.
+    A notation's slot is read off its terms, so a large coefficient costs
+    nothing up front, and a slot's start and sub-embedding are built once a
+    query lands in the slot, and kept.  Slot indices stay proportional to
+    the coefficients along a notation's term list, which keeps the derived
+    surplus sets scannable.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate,
@@ -343,51 +337,29 @@ class OrdinalEmbedding:
         self.bound = bound
         self.interval = interval
         self._chain = SplitChain(interval, validate)
-        self._subs: Dict[int, "OrdinalEmbedding"] = {}
-        # upper boundaries of slots 0, 1, ..., and (start, type, is unit)
-        # per slot index
-        self._ends: List[Ordinal] = []
-        self._slots: Dict[int, Tuple[Ordinal, Ordinal, bool]] = {}
+        # (start, sub-embedding or None for a single point) per slot reached
+        self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
         if _is_pure_power(bound):
-            self._next_end = fundamental_sequence(bound)
+            self._slot_end = fundamental_sequence(bound)
+            self._slot_index = functools.partial(fundamental_index, bound)
         else:
-            self._next_end = functools.partial(_block_end, bound)
+            self._slot_end = functools.partial(_block_end, bound)
+            self._slot_index = functools.partial(_block_index, bound)
 
     # -- structure ---------------------------------------------------------
 
-    def _end(self, t: int) -> Ordinal:
-        """Upper boundary of slot t."""
-        while len(self._ends) <= t:
-            self._ends.append(self._next_end(len(self._ends)))
-        return self._ends[t]
-
-    def _slot(self, t: int) -> Tuple[Ordinal, Ordinal, bool]:
-        """(start, type, whether the type is 1) of slot t."""
-        slot = self._slots.get(t)
-        if slot is None:
-            start = self._end(t - 1) if t else Ordinal()
-            otype = left_subtract(start, self._end(t))
-            slot = self._slots[t] = (start, otype, compare(otype, ONE) == 0)
-        return slot
-
-    def _is_unit(self, t: int) -> bool:
-        return self._slot(t)[2]
-
-    def _sub(self, t: int) -> "OrdinalEmbedding":
-        sub = self._subs.get(t)
-        if sub is None:
-            sub = OrdinalEmbedding(self._slot(t)[1], self._chain.cert_slot(t),
-                                   validate=False)
-            self._subs[t] = sub
-        return sub
-
-    def _locate(self, alpha: Ordinal) -> Tuple[int, Ordinal]:
-        """Slot index and offset within the slot."""
-        t = 0
-        while compare(alpha, self._end(t)) != -1:
-            t += 1
-        start = self._slot(t)[0]
-        return t, left_subtract(start, alpha)
+    def _locate(self, alpha: Ordinal
+                ) -> Tuple[int, Ordinal, Optional["OrdinalEmbedding"]]:
+        """Slot index, offset within the slot, and the slot's sub-embedding
+        (None for a single-point slot)."""
+        t = self._slot_index(alpha)
+        if t not in self._slots:
+            start = self._slot_end(t - 1) if t else Ordinal()
+            otype = left_subtract(start, self._slot_end(t))
+            self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
+                otype, self._chain.cert_slot(t), validate=False))
+        start, sub = self._slots[t]
+        return t, left_subtract(start, alpha), sub
 
     def _require_below(self, alpha: Ordinal) -> None:
         if compare(alpha, self.bound) != -1:
@@ -397,31 +369,31 @@ class OrdinalEmbedding:
 
     def member(self, alpha: Ordinal) -> LazySet:
         self._require_below(alpha)
-        t, off = self._locate(alpha)
-        if self._is_unit(t):
+        t, off, sub = self._locate(alpha)
+        if sub is None:
             return self._chain.z(t + 1)
-        return self._sub(t).member(off)
+        return sub.member(off)
 
     def cert(self, alpha: Ordinal, beta: Ordinal) -> OrderCertificate:
         """Certificate for e(alpha) strictly below e(beta), alpha < beta."""
         if compare(alpha, beta) != -1:
             raise ValueError("need alpha < beta")
         self._require_below(beta)
-        ta, offa = self._locate(alpha)
-        tb, offb = self._locate(beta)
+        ta, offa, suba = self._locate(alpha)
+        tb, offb, subb = self._locate(beta)
         if ta == tb:
-            return self._sub(ta).cert(offa, offb)
+            return suba.cert(offa, offb)
         # climb from e(alpha) up to z_{ta+1}, along the chain, into slot tb
         legs: List[OrderCertificate] = []
-        if not self._is_unit(ta):
-            legs.append(self._sub(ta).upper_cert(offa))
+        if suba is not None:
+            legs.append(suba.upper_cert(offa))
         exit_level = ta + 1
-        if self._is_unit(tb):
+        if subb is None:
             legs.append(self._chain.cert_between(exit_level, tb + 1))
         else:
             if exit_level < tb:
                 legs.append(self._chain.cert_between(exit_level, tb))
-            legs.append(self._sub(tb).lower_cert(offb))
+            legs.append(subb.lower_cert(offb))
         out = legs[0]
         for leg in legs[1:]:
             out = compose_certs(out, leg)
@@ -430,10 +402,10 @@ class OrdinalEmbedding:
     def lower_cert(self, alpha: Ordinal) -> OrderCertificate:
         """Certificate for interval-lower strictly below e(alpha)."""
         self._require_below(alpha)
-        t, off = self._locate(alpha)
-        if self._is_unit(t):
+        t, off, sub = self._locate(alpha)
+        if sub is None:
             return self._chain.cert_lower(t + 1)
-        inner = self._sub(t).lower_cert(off)
+        inner = sub.lower_cert(off)
         if t == 0:
             return inner
         return compose_certs(self._chain.cert_lower(t), inner)
@@ -441,10 +413,10 @@ class OrdinalEmbedding:
     def upper_cert(self, alpha: Ordinal) -> OrderCertificate:
         """Certificate for e(alpha) strictly below interval-upper."""
         self._require_below(alpha)
-        t, off = self._locate(alpha)
-        if self._is_unit(t):
+        t, off, sub = self._locate(alpha)
+        if sub is None:
             return self._chain.cert_upper(t + 1)
-        return compose_certs(self._sub(t).upper_cert(off),
+        return compose_certs(sub.upper_cert(off),
                              self._chain.cert_upper(t + 1))
 
 

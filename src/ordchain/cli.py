@@ -19,8 +19,8 @@ from . import lazyset
 from .baire import EmbeddingFamily, monotone_checks
 from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     OrdinalEmbedding, SplitChain, default_certificate,
-                    default_interval, parse_certificate, tree_child_certs,
-                    tree_node, verify_certificate)
+                    default_interval, parse_certificate, tree_split,
+                    verify_certificate)
 from .lazyset import ResourceLimitError, SetParseError, parse_set
 from .metric import (ContChain, MetricAxiomError, SpaceParseError,
                      format_eval, load_space)
@@ -45,7 +45,8 @@ def _input_problem(args) -> Optional[str]:
             lazyset.set_depth_cap(int(cap))
         except ValueError:
             return f"bad TC_DEPTH_CAP: {cap!r}"
-    for flag, least in (("depth", 1), ("count", 1), ("truncate", 0), ("bound", 0)):
+    for flag, least in (("depth", 1), ("count", 1), ("truncate", 0),
+                        ("bound", 0), ("pairs", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             return f"--{flag} must be >= {least}"
@@ -168,17 +169,17 @@ def cmd_split(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    node = tree_node(args.address)
-    print(f"NODE {node.expr}")
+    chain = tree_split(args.address)
+    print(f"NODE {chain.x.expr}")
 
-    # a generator, so EXTEND0 is out before tree_child_certs can raise
+    # a generator, so EXTEND0 is out before a child certificate can raise
     def checks():
-        extends = tree_node(args.address + (0,)) is node
+        extends = chain.cert_slot(0).lower is chain.x
         yield "EXTEND0", None if extends else ""
-        labels = [("s", f"s~{args.a}"), (f"s~{args.a}", f"s~{args.b}"),
-                  (f"s~{args.b}", "s+")]
-        certs = tree_child_certs(args.address, args.a, args.b)
-        for (lo, hi), c in zip(labels, certs):
+        a, b = args.a, args.b
+        for lo, hi, c in [("s", f"s~{a}", chain.cert_lower(a)),
+                          (f"s~{a}", f"s~{b}", chain.cert_between(a, b)),
+                          (f"s~{b}", "s+", chain.cert_upper(b))]:
             yield f"PAIR {lo} {hi}", _probe(c, args.depth)
 
     return _report(checks())

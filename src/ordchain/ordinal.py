@@ -184,6 +184,24 @@ def fundamental_sequence(a: Ordinal) -> FundamentalSequence:
     return FundamentalSequence(a, gen)
 
 
+def fundamental_index(a: Ordinal, b: Ordinal) -> int:
+    """The least k with b < a[k], for b < a a limit: the inverse of
+    `fundamental_sequence`, read off the terms of b.  Recurses once per
+    nesting level of a's last exponent."""
+    if classify(a)[0] != LIMIT_KIND or compare(b, a) != LT:
+        raise ValueError("fundamental index requires b < a, a limit")
+    e, c = a.terms[-1]
+    prefix = a.terms[:-1] if c == 1 else a.terms[:-1] + ((e, c - 1),)
+    n = len(prefix)
+    if b.terms[:n] != prefix or len(b.terms) == n:
+        return 0                    # b is at most the prefix, below a[0]
+    eb, cb = b.terms[n]
+    ekind, epred = classify(e)
+    if ekind == SUCCESSOR_KIND:
+        return cb if eb == epred else 0
+    return fundamental_index(e, eb)
+
+
 # ---------------------------------------------------------------------------
 # Textual grammar:
 #   ord  := "0" | term ("+" term)*

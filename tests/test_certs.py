@@ -8,16 +8,15 @@ import pytest
 
 from ordchain import lazyset
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            OrdinalEmbedding, Report, SplitChain, base_cert,
-                            compose_certs, default_certificate,
-                            default_interval, normalize_address,
-                            parse_certificate, tree_child_certs,
-                            tree_interval_cert, tree_node,
-                            verify_certificate)
+                            OrdinalEmbedding, Report, SplitChain, _block_end,
+                            _block_index, base_cert, compose_certs,
+                            default_certificate, default_interval,
+                            parse_certificate, tree_child_certs, tree_node,
+                            tree_split, verify_certificate)
 from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
                               empty, inter, parse_set, piece, rows, union)
 from ordchain.ordinal import ONE, Ordinal, add, compare, parse_ordinal
-from ordchain.sampling import sample_comparable_pairs
+from ordchain.sampling import sample_below, sample_comparable_pairs
 
 NATS = ap(1, 0)
 EVENS = ap(2, 0)
@@ -352,16 +351,41 @@ def test_split_chain_index_contracts():
 # ---------------------------------------------------------------------------
 # The address tree.
 
+def reference_tree_node(s):
+    """The node rule before one split walk per address, an oracle for
+    tree_node: drop trailing zeros, then take split point z_last of the
+    parent's split, whose interval is found again the same way."""
+    def interval(t):
+        if len(t) == 1:
+            return base_cert(t[0], t[0] + 1)
+        return SplitChain(interval(t[:-1]), validate=False).cert_slot(t[-1])
+
+    s = tuple(s)
+    while len(s) > 1 and s[-1] == 0:
+        s = s[:-1]
+    if len(s) == 1:
+        return rows(s[0])
+    return SplitChain(interval(s[:-1]), validate=False).z(s[-1])
+
+
 def test_tree_zero_extension_is_identity():
-    assert tree_node((3, 0)).expr == tree_node((3,)).expr
-    assert tree_node((1, 2, 0)).expr == tree_node((1, 2)).expr
-    assert normalize_address((4, 0, 0)) == (4,)
-    assert normalize_address((0,)) == (0,)
+    assert tree_node((3, 0)) is tree_node((3,))
+    assert tree_node((1, 2, 0)) is tree_node((1, 2))
+    assert tree_node((4, 0, 0)) is rows(4)
+    assert tree_node((0,)) is rows(0)
+
+
+def test_tree_node_matches_reference():
+    rng = random.Random(71)
+    for _ in range(40):
+        s = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+        s += (0,) * rng.randint(0, 2)
+        assert tree_node(s) is reference_tree_node(s), s
 
 
 def test_tree_base_level():
     assert tree_node((2,)) is rows(2)
-    assert_valid(tree_interval_cert((2,)))
+    assert_valid(tree_split((2,)).cert)
 
 
 def test_tree_three_way_example():
@@ -473,7 +497,8 @@ def test_embed_rejects_explicit_surplus_at_construction(validate):
 def reference_blocks(bound):
     """Block slots as they were built before slots came on demand: all at
     construction, one per coefficient unit.  The end and (start, type,
-    is unit) of every block, an oracle for OrdinalEmbedding._end/_slot."""
+    is unit) of every block, an oracle for _block_end, _block_index and the
+    slots an OrdinalEmbedding keeps."""
     ends, slots = [], []
     acc = Ordinal()
     for e, c in bound.terms:
@@ -509,8 +534,16 @@ def test_block_slots_match_reference():
         if checked % 2:
             order.reverse()                 # ask for the last block first
         for t in order:
-            assert emb._end(t) == ends[t]
-            assert emb._slot(t) == slots[t]
+            start, unit, is_unit = slots[t]
+            assert _block_end(bound, t) == ends[t]
+            # the block's first notation and one more, offset d < unit
+            for d in (Ordinal(), sample_below(unit, rng)):
+                alpha = add(start, d)
+                assert _block_index(bound, alpha) == t
+                assert emb._locate(alpha)[:2] == (t, d)
+            assert emb._slots[t][0] == start
+            assert (emb._slots[t][1] is None) == is_unit
+        assert len(emb._slots) == len(ends)
         checked += 1
 
 

@@ -254,6 +254,16 @@ def test_embed_large_coefficient_builds_no_block_up_front():
     assert int(proc.stderr.split()[-1]) < 100 * 1024
 
 
+def test_embed_far_slot_keeps_no_slot_ends():
+    # the slot of 999,999 is read off its coefficient; walking and keeping
+    # every slot end up to it took 885,441 ends, 5 s and 207 MiB
+    proc = run_fresh("embed", "--ordinal", "1000000", "--pairs", "2",
+                     code=MAIN_PEAK, timeout=60)
+    assert (proc.returncode, proc.stdout) == (
+        1, "FAIL expression depth 10001 exceeds cap 10000\n")
+    assert int(proc.stderr.split()[-1]) < 100 * 1024
+
+
 def test_long_split_chain_text_is_not_stored_per_node():
     # z_2000 is 76,910 characters long; storing the text of each of the
     # 4,004 nodes behind it took 76 M characters and peaked near 104 MiB
@@ -546,10 +556,12 @@ def test_depth_cap_env_applies(capsys, monkeypatch):
      "--interval", "union(ap(4,0),diff(ap(1,1),ap(1,2))),ap(2,0)"],
     ["split", "--bound=-3",
      "--interval", "union(ap(4,0),diff(ap(1,1),ap(1,2))),ap(2,0)"],
+    ["embed", "--ordinal", "w", "--pairs", "-1"],
+    ["baire", "--ordinal", "w", "--pairs", "-1"],
 ], ids=["embed-depth", "baire-depth", "split-depth", "tree-depth",
         "split-count", "cont-eval", "cont-truncate", "tree-address",
         "space-point-range", "cont-truncate-unprintable", "space-negative-count",
-        "embed-bound", "split-bound"])
+        "embed-bound", "split-bound", "embed-pairs", "baire-pairs"])
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     write(tmp_path, "two.space", TWO_POINT)
     write(tmp_path, "far.space", TWO_POINT + "dist 0 5 1/1\n")

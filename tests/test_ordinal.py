@@ -11,8 +11,9 @@ import pytest
 
 from ordchain.ordinal import (LT, EQ, GT, MAX_NESTING, OMEGA, ONE, ZERO,
                               Ordinal, OrdinalParseError, add, classify, compare,
-                              format_ordinal, fundamental_sequence,
-                              left_subtract, parse_ordinal)
+                              format_ordinal, fundamental_index,
+                              fundamental_sequence, left_subtract,
+                              parse_ordinal)
 from ordchain.sampling import random_notation, sample_below
 
 
@@ -118,6 +119,7 @@ def test_nesting_cap_leaves_stack_to_spare():
         fs = fundamental_sequence(a)
         for k in range(3):
             assert compare(fs(k), a) == LT
+            assert fundamental_index(a, fs(k)) == k + 1
 
     deeper(120, ops)
 
@@ -281,6 +283,44 @@ def test_fundamental_sequence_exhaustive():
     for text in ["5", "w*7", "w^(3)*2+w", "w^(9)"]:
         b = parse_ordinal(text)
         assert any(compare(fs(k), b) == GT for k in range(16))
+
+
+def random_limit(rng, depth):
+    """A limit notation whose last exponent is finite or, `depth` > 0, a
+    random limit itself; up to two terms above it, and a trailing
+    coefficient up to 3."""
+    if depth and rng.random() < 0.6:
+        e = random_limit(rng, depth - 1)
+    else:
+        e = Ordinal.from_int(rng.randint(1, 4))
+    above = [(add(e, Ordinal.from_int(k)), rng.randint(1, 3))
+             for k in sorted(rng.sample(range(1, 4), rng.randint(0, 2)),
+                             reverse=True)]
+    return Ordinal(tuple(above) + ((e, rng.randint(1, 3)),))
+
+
+def test_fundamental_index_matches_linear_scan():
+    rng = random.Random(23)
+    for _ in range(150):
+        a = random_limit(rng, 2)
+        fs = fundamental_sequence(a)
+        e, c = a.terms[-1]
+        prefix = Ordinal(a.terms[:-1] + (((e, c - 1),) if c > 1 else ()))
+        below = [sample_below(a, rng), prefix]
+        for k in range(4):
+            below += [fs(k), add(fs(k), Ordinal.from_int(k + 1))]
+        for x in [sample_below(e, rng), Ordinal.from_int(rng.randint(0, 2))]:
+            if compare(x, e) == LT:
+                below.append(add(prefix, Ordinal(((x, rng.randint(1, 5)),))))
+        for b in below:
+            k = next(k for k in range(200) if compare(b, fs(k)) == LT)
+            assert fundamental_index(a, b) == k, (a, b)
+
+
+def test_fundamental_index_needs_b_below_a_limit():
+    for a, b in [("w", "w"), ("w^(2)", "w^(2)+1"), ("w+1", "3")]:
+        with pytest.raises(ValueError):
+            fundamental_index(parse_ordinal(a), parse_ordinal(b))
 
 
 def test_fundamental_sequence_rejects_non_limit():
