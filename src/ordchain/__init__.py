@@ -2,7 +2,7 @@
 checkable certificates, their indicator-function chains, and exact chains
 of continuous functions on finite metric spaces."""
 
-from .ordinal import (Ordinal, FundamentalSequence, ZERO, ONE, OMEGA,
+from .ordinal import (Ordinal, ZERO, ONE, OMEGA,
                       add, classify, compare, fundamental_index,
                       fundamental_sequence, left_subtract, parse_ordinal,
                       format_ordinal)

@@ -78,7 +78,10 @@ def parse_certificate(text: str) -> OrderCertificate:
     m = _CERT_RE.match(text)
     if not m:
         raise SetParseError("expected cert{m=<nat>, lower=<set>, upper=<set>}")
-    bound = int(m.group(1))
+    try:
+        bound = int(m.group(1))
+    except ValueError as exc:   # past Python's int-conversion digit limit
+        raise SetParseError(str(exc)) from None
     lower = parse_set(m.group(2))
     upper = parse_set(m.group(3))
     return default_certificate(lower, upper, bound)

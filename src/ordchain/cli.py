@@ -33,18 +33,21 @@ USAGE_ERROR = 2
 def _naturals(text: str) -> Optional[Tuple[int, ...]]:
     """'n,n,...' as a tuple of naturals, or None if it is not one."""
     fields = [f.strip() for f in text.split(",")]
-    return tuple(map(int, fields)) if all(map(str.isdecimal, fields)) else None
+    try:
+        return tuple(map(int, fields)) if all(map(str.isdecimal, fields)) else None
+    except ValueError:      # past Python's int-conversion digit limit
+        return None
 
 
 def _input_problem(args) -> Optional[str]:
     """Why TC_DEPTH_CAP or the parsed arguments cannot be used, or None.
-    Sets the depth cap and turns --address and --eval into naturals."""
-    cap = os.environ.get("TC_DEPTH_CAP")
-    if cap is not None:
-        try:
-            lazyset.set_depth_cap(int(cap))
-        except ValueError:
-            return f"bad TC_DEPTH_CAP: {cap!r}"
+    Sets the depth cap (the default one if TC_DEPTH_CAP is unset) and turns
+    --address and --eval into naturals."""
+    cap = os.environ.get("TC_DEPTH_CAP", str(lazyset.DEFAULT_DEPTH_CAP))
+    try:
+        lazyset.set_depth_cap(int(cap))
+    except ValueError:
+        return f"bad TC_DEPTH_CAP: {cap!r}"
     for flag, least in (("depth", 1), ("count", 1), ("truncate", 0),
                         ("bound", 0), ("pairs", 0)):
         value = getattr(args, flag, None)

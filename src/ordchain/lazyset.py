@@ -48,7 +48,7 @@ class ResourceLimitError(RuntimeError):
     """An expression exceeded a configured depth or scan budget."""
 
 
-_DEPTH_CAP = 10000
+_DEPTH_CAP = DEFAULT_DEPTH_CAP = 10000
 _SCAN_CAP = 1 << 27
 _CACHE_BUDGET = 1 << 30
 # No bitmap is this long, so a node whose P + T passes it never folds; the
@@ -97,11 +97,6 @@ def unpair(n: int) -> tuple:
     return i, ((m >> i) - 1) // 2
 
 
-def _trailing_zeros_vec(x: np.ndarray) -> np.ndarray:
-    low = (x & -x).astype(np.float64)
-    return np.round(np.log2(low)).astype(np.int64)
-
-
 _INTERN = {}
 
 
@@ -122,6 +117,9 @@ class LazySet:
 
     def __repr__(self):
         return f"LazySet<{self.expr}>"
+
+    def __reduce__(self):   # a copy or an unpickled set is the interned one
+        return parse_set, (self.expr,)
 
     @property
     def expr(self) -> str:
@@ -362,9 +360,10 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
     if kind == "empty":
         return np.zeros(n, dtype=bool)
     if kind == "rows":
-        (k,) = node.nats
-        x = np.arange(1, n + 1, dtype=np.int64)
-        return _trailing_zeros_vec(x) < k
+        k = min(node.nats[0], n.bit_length())   # a larger k spares every m < n too
+        out = np.ones(n, dtype=bool)
+        out[(1 << k) - 1::1 << k] = False       # m is in row v2(m + 1)
+        return out
     if kind == "ap":
         a, b = node.nats
         out = np.zeros(n, dtype=bool)
@@ -379,12 +378,9 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
     if kind == "diff":
         return x & ~_prefix(node.children[1], n)
     if kind == "piece":
-        (i,) = node.nats
-        idx = np.flatnonzero(x)
+        i = min(node.nats[0], n.bit_length())   # a larger i picks no rank <= n either
         out = np.zeros(n, dtype=bool)
-        if len(idx):
-            ranks = np.arange(1, len(idx) + 1, dtype=np.int64)
-            out[idx[_trailing_zeros_vec(ranks) == i]] = True
+        out[np.flatnonzero(x)[(1 << i) - 1::1 << (i + 1)]] = True   # ranks r with v2(r) = i
         return out
     raise AssertionError(kind)
 
@@ -451,7 +447,10 @@ def _expect(toks, i, tok):
 def _nat(toks, i):
     if i >= len(toks) or not toks[i].isdigit():
         raise SetParseError("expected a natural number")
-    return int(toks[i]), i + 1
+    try:
+        return int(toks[i]), i + 1
+    except ValueError as exc:   # past Python's int-conversion digit limit
+        raise SetParseError(str(exc)) from None
 
 
 def _parse_leaf(toks, i):

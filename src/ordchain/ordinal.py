@@ -2,14 +2,16 @@
 
 An ordinal is a finite sum  w^e1*c1 + ... + w^ek*ck  with strictly
 decreasing exponents (themselves ordinals) and positive integer
-coefficients.  The empty sum is 0.  Values are immutable and hashable.
+coefficients.  The empty sum is 0.  Notations are immutable and interned
+on their terms, like sets: building a notation twice returns the same
+object, so equal notations compare with `is` and hash by identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Tuple
+import weakref
+from typing import Callable, Tuple
 
 LT, EQ, GT = -1, 0, 1
 
@@ -18,23 +20,38 @@ class OrdinalParseError(ValueError):
     pass
 
 
+# The live notation per terms tuple; a key hashes by identity, as exponents
+# are interned.  A notation keeps no cache: rebuilding one re-validates it.
+_TABLE = weakref.WeakValueDictionary()
+
+
 class Ordinal:
-    """Cantor-normal-form notation.  Do not mutate `terms`."""
+    """Interned Cantor-normal-form notation.  Do not mutate `terms`."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "__weakref__")
 
-    def __init__(self, terms=()):
+    def __new__(cls, terms=()):
         terms = tuple(terms)
+        # typed before the lookup, so 1.0 or True never finds the notation with 1
         for e, c in terms:
             if not isinstance(e, Ordinal):
                 raise TypeError("exponent must be an Ordinal")
-            if not isinstance(c, int) or c < 1:
+            if type(c) is not int or c < 1:
                 raise ValueError("coefficient must be a positive integer")
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if compare(e1, e2) != GT:
-                raise ValueError("exponents must be strictly decreasing")
-        self.terms = terms
-        self._hash = None
+        a = _TABLE.get(terms)
+        if a is None:
+            for (e1, _), (e2, _) in zip(terms, terms[1:]):
+                if compare(e1, e2) != GT:
+                    raise ValueError("exponents must be strictly decreasing")
+            a = _TABLE[terms] = object.__new__(cls)
+            a.terms = terms
+        return a
+
+    def __reduce__(self):       # a copy or an unpickled notation is the interned one
+        return Ordinal, (self.terms,)
+
+    def __deepcopy__(self, memo):   # immutable: no walk down the exponents
+        return self
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":
@@ -46,16 +63,6 @@ class Ordinal:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self.terms)
-        return self._hash
 
     def __lt__(self, other):
         return compare(self, other) == LT
@@ -85,16 +92,19 @@ OMEGA = Ordinal(((ONE, 1),))
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
-    """Strict total order; returns LT, EQ or GT."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != EQ:
-            return c
-        if ca != cb:
-            return LT if ca < cb else GT
-    if len(a.terms) == len(b.terms):
-        return EQ
-    return LT if len(a.terms) < len(b.terms) else GT
+    """Strict total order; returns LT, EQ or GT.  Equal exponents are the
+    same object, so only the first differing one is descended into, and
+    the answer there is final."""
+    while a is not b:
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+            if ea is not eb:
+                a, b = ea, eb
+                break
+            if ca != cb:
+                return LT if ca < cb else GT
+        else:   # one is a proper prefix of the other
+            return LT if len(a.terms) < len(b.terms) else GT
+    return EQ
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -104,12 +114,11 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if a.is_zero():
         return b
     eb, cb = b.terms[0]
-    kept = [t for t in a.terms if compare(t[0], eb) == GT]
-    last_kept = len(kept)
-    if last_kept < len(a.terms) and compare(a.terms[last_kept][0], eb) == EQ:
-        merged = (eb, a.terms[last_kept][1] + cb)
-        return Ordinal(tuple(kept) + (merged,) + b.terms[1:])
-    return Ordinal(tuple(kept) + b.terms)
+    kept = tuple(t for t in a.terms if compare(t[0], eb) == GT)
+    rest = a.terms[len(kept):]
+    if rest and rest[0][0] is eb:
+        return Ordinal(kept + ((eb, rest[0][1] + cb),) + b.terms[1:])
+    return Ordinal(kept + b.terms)
 
 
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -137,69 +146,61 @@ def classify(a: Ordinal):
     """Returns (ZERO_KIND, None), (SUCCESSOR_KIND, predecessor) or (LIMIT_KIND, None)."""
     if a.is_zero():
         return ZERO_KIND, None
-    e, c = a.terms[-1]
+    head, e = _head(a)
     if not e.is_zero():
         return LIMIT_KIND, None
-    if c == 1:
-        pred = Ordinal(a.terms[:-1])
-    else:
-        pred = Ordinal(a.terms[:-1] + ((ZERO, c - 1),))
-    return SUCCESSOR_KIND, pred
+    return SUCCESSOR_KIND, Ordinal(head)
 
 
-@dataclass(frozen=True)
-class FundamentalSequence:
-    """Strictly increasing omega-sequence converging to a limit notation."""
-
-    source: Ordinal
-    generator: Callable[[int], Ordinal]
-
-    def __call__(self, k: int) -> Ordinal:
-        if k < 0:
-            raise ValueError("index must be a natural")
-        return self.generator(k)
+def _head(a: Ordinal) -> Tuple[tuple, Ordinal]:
+    """(h, e) for a nonzero a = h + w^e: the terms before a's last w-power,
+    and its exponent."""
+    e, c = a.terms[-1]
+    return a.terms[:-1] + (((e, c - 1),) if c > 1 else ()), e
 
 
-def fundamental_sequence(a: Ordinal) -> FundamentalSequence:
-    """Wainer-style assignment.
+def fundamental_sequence(a: Ordinal) -> Callable[[int], Ordinal]:
+    """Wainer-style assignment, as a function k -> a[k].
 
     For g + w^(e+1) the k-th element is g + w^e*(k+1); for g + w^l with l a
     limit it is g + w^(l[k]); a trailing coefficient > 1 peels one copy.
-    """
-    kind, _ = classify(a)
-    if kind != LIMIT_KIND:
+    The heads down the chain of limit exponents are found once, and each
+    element is built back up them."""
+    if classify(a)[0] != LIMIT_KIND:
         raise ValueError("fundamental sequence requires a limit notation")
-    e, c = a.terms[-1]
-    prefix = a.terms[:-1] if c == 1 else a.terms[:-1] + ((e, c - 1),)
-    ekind, epred = classify(e)
-    if ekind == SUCCESSOR_KIND:
-        def gen(k: int, prefix=prefix, epred=epred) -> Ordinal:
-            return Ordinal(prefix + ((epred, k + 1),))
-    else:
-        efs = fundamental_sequence(e)
+    heads, kind = [], LIMIT_KIND
+    while kind == LIMIT_KIND:       # down to the first successor exponent
+        head, a = _head(a)
+        heads.append(head)
+        kind, epred = classify(a)
 
-        def gen(k: int, prefix=prefix, efs=efs) -> Ordinal:
-            return Ordinal(prefix + ((efs(k), 1),))
+    def element(k: int) -> Ordinal:
+        if k < 0:
+            raise ValueError("index must be a natural")
+        x, c = epred, k + 1
+        for head in reversed(heads):
+            x, c = Ordinal(head + ((x, c),)), 1
+        return x
 
-    return FundamentalSequence(a, gen)
+    return element
 
 
 def fundamental_index(a: Ordinal, b: Ordinal) -> int:
     """The least k with b < a[k], for b < a a limit: the inverse of
-    `fundamental_sequence`, read off the terms of b.  Recurses once per
-    nesting level of a's last exponent."""
+    `fundamental_sequence`, read off the terms of b one limit exponent of
+    a at a time."""
     if classify(a)[0] != LIMIT_KIND or compare(b, a) != LT:
         raise ValueError("fundamental index requires b < a, a limit")
-    e, c = a.terms[-1]
-    prefix = a.terms[:-1] if c == 1 else a.terms[:-1] + ((e, c - 1),)
-    n = len(prefix)
-    if b.terms[:n] != prefix or len(b.terms) == n:
-        return 0                    # b is at most the prefix, below a[0]
-    eb, cb = b.terms[n]
-    ekind, epred = classify(e)
-    if ekind == SUCCESSOR_KIND:
-        return cb if eb == epred else 0
-    return fundamental_index(e, eb)
+    while True:
+        head, e = _head(a)
+        n = len(head)
+        if b.terms[:n] != head or len(b.terms) == n:
+            return 0                # b is at most the head, below a[0]
+        eb, cb = b.terms[n]         # eb < e, as b < a
+        ekind, epred = classify(e)
+        if ekind == SUCCESSOR_KIND:
+            return cb if eb is epred else 0
+        a, b = e, eb
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +211,9 @@ def fundamental_index(a: Ordinal, b: Ordinal) -> int:
 
 _TOKEN = re.compile(r"\s*(\d+|w|\^|\(|\)|\*|\+)")
 
-# Deepest "w^(" nesting that parses.  Comparing, hashing and stepping the
-# fundamental sequence recurse 3-4 frames per level: called from 120 frames
-# deep under Python's default recursion limit they first fail past 200
-# levels, twice this cap.
+# Deepest "w^(" nesting that parses.  Only parsing, formatting and pickling
+# recurse per level: called from 120 frames deep under CPython 3.11's default
+# limit, they first fail at 435, 874 and 217 levels.
 MAX_NESTING = 100
 
 
@@ -267,11 +267,7 @@ class _Parser:
         if t is None:
             raise OrdinalParseError("unexpected end of input")
         if t.isdigit():
-            self.take()
-            n = int(t)
-            if n == 0:
-                raise OrdinalParseError("zero term not allowed")
-            return (ZERO, n)
+            return (ZERO, self.positive("zero term not allowed"))
         self.take("w")
         exponent = ONE
         if self.peek() == "^":
@@ -285,16 +281,23 @@ class _Parser:
             self.take(")")
             if exponent.is_zero():
                 raise OrdinalParseError("w^(0) is non-canonical; write 1")
-            if exponent == ONE:
+            if exponent is ONE:
                 raise OrdinalParseError("w^(1) is non-canonical; write w")
-        coeff = 1
-        if self.peek() == "*":
-            self.take("*")
-            c = self.take()
-            if not c.isdigit() or int(c) == 0:
-                raise OrdinalParseError("coefficient must be a positive integer")
-            coeff = int(c)
-        return (exponent, coeff)
+        if self.peek() != "*":
+            return (exponent, 1)
+        self.take("*")
+        return (exponent, self.positive("coefficient must be a positive integer"))
+
+    def positive(self, message: str) -> int:
+        """The next token as a positive natural; else `message` is the error."""
+        t = self.take()
+        try:
+            n = int(t) if t.isdigit() else 0
+        except ValueError as exc:   # past Python's int-conversion digit limit
+            raise OrdinalParseError(str(exc)) from None
+        if n == 0:
+            raise OrdinalParseError(message)
+        return n
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -315,10 +318,7 @@ def format_ordinal(a: Ordinal, compact: bool = False) -> str:
         if e.is_zero():
             parts.append(str(c))
             continue
-        if e == ONE:
-            base = "w"
-        else:
-            base = f"w^({format_ordinal(e, compact=True)})"
+        base = "w" if e is ONE else f"w^({format_ordinal(e, compact=True)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     sep = "+" if compact else " + "
     return sep.join(parts)

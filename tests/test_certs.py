@@ -1,6 +1,7 @@
 """Certificates for strict mod-finite containment, interval splitting,
 the address tree, and ordinal embeddings."""
 
+import copy
 import functools
 import random
 
@@ -238,6 +239,12 @@ def test_compose_thresholds_surplus():
 def test_compose_rejects_mismatched_middle():
     with pytest.raises(InvalidCertificateError):
         compose_certs(base_cert(0, 1), base_cert(2, 3))
+
+
+def test_compose_accepts_a_deep_copied_leg():
+    leg = copy.deepcopy(base_cert(1, 2))
+    assert leg.lower is rows(1) and leg.upper is rows(2)
+    assert verify_certificate(compose_certs(base_cert(0, 1), leg), 16).ok
 
 
 def test_compose_random_chains_valid():

@@ -264,6 +264,22 @@ def test_embed_far_slot_keeps_no_slot_ends():
     assert int(proc.stderr.split()[-1]) < 100 * 1024
 
 
+def test_embed_finite_bound_scans_in_bounded_memory():
+    # the pair 25 < 27 draws on piece 26 of the evens, which has one element
+    # below the scan cap, so the scan runs to the cap; with int64 rank arrays
+    # and a float log2 of their low bits in place of strided slices, it
+    # peaked at 2,718 MiB
+    proc = run_fresh("embed", "--ordinal", "30", "--pairs", "3", "--depth", "4",
+                     "--seed", "1", code=MAIN_PEAK, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, (
+        "PAIR 4 18 OK\n"
+        "PAIR 25 27 FAIL surplus exhausted: found only 1 elements of "
+        "piece(diff(rows(1),empty),26) below 134217728\n"
+        "PAIR 2 24 OK\n"
+        "CHECKED 3 FAILED 1\n"))
+    assert int(proc.stderr.split()[-1]) < 1024 * 1024
+
+
 def test_long_split_chain_text_is_not_stored_per_node():
     # z_2000 is 76,910 characters long; storing the text of each of the
     # 4,004 nodes behind it took 76 M characters and peaked near 104 MiB
@@ -450,6 +466,15 @@ def test_verify_deep_union_cert(tmp_path):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "OK\n", "")
 
 
+@pytest.mark.parametrize("k", [10**12, 10**19])
+def test_verify_huge_row_and_piece_index(capsys, tmp_path, k):
+    """A row or piece index past any bitmap's bit length costs no big
+    integer: the strides are cut to the prefix."""
+    cert = write(tmp_path, "huge.cert",
+                 f"cert{{m=0, lower=piece(rows(1),{k}), upper=rows({k})}}")
+    assert run(capsys, "verify", "--cert", cert) == (0, "OK\n", "")
+
+
 def test_verify_depth_zero_is_usage_error(capsys, tmp_path):
     cert = write(tmp_path, "good.cert",
                  "cert{m=0, lower=ap(4,0), upper=ap(2,0)}\n")
@@ -536,6 +561,42 @@ def test_depth_cap_env_applies(capsys, monkeypatch):
     code, _, _ = run(capsys, "embed", "--ordinal", "0")
     assert code == 0
     assert lazyset.depth_cap() == 50000
+
+
+def test_depth_cap_resets_once_env_is_unset(capsys, monkeypatch):
+    argv = ["embed", "--ordinal", "w^(w)", "--pairs", "40", "--depth", "4"]
+    monkeypatch.setenv("TC_DEPTH_CAP", "20")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (1, "FAIL expression depth 21 exceeds cap 20")
+    monkeypatch.delenv("TC_DEPTH_CAP")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[-1]) == (0, "CHECKED 40 FAILED 0")
+
+
+HUGE = "7" * 5000       # past Python's default int-conversion limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-conversion digit limit")
+@pytest.mark.parametrize("argv, prefix", [
+    (["embed", "--ordinal", HUGE], "parse error:"),
+    (["baire", "--ordinal", f"w*{HUGE}"], "parse error:"),
+    (["embed", "--ordinal", "w", "--interval", f"ap({HUGE},0),rows(1)"],
+     "parse error:"),
+    (["verify", "--cert", "bound.cert"], "parse error:"),
+    (["verify", "--cert", "set.cert"], "parse error:"),
+    (["tree", "--address", f"1,{HUGE}"], "tree:"),
+    (["cont", "--space", "two.space", "--eval", f"1,{HUGE}"], "cont:"),
+], ids=["ordinal", "coefficient", "interval", "cert-bound", "cert-set",
+        "tree-address", "cont-eval"])
+def test_huge_numeral_is_usage_error(capsys, tmp_path, monkeypatch, argv, prefix):
+    write(tmp_path, "two.space", TWO_POINT)
+    write(tmp_path, "bound.cert", f"cert{{m={HUGE}, lower=rows(0), upper=rows(1)}}")
+    write(tmp_path, "set.cert", f"cert{{m=0, lower=ap({HUGE},0), upper=rows(1)}}")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err.startswith(prefix) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

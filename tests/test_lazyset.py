@@ -6,6 +6,8 @@ The folded numpy fast path is cross-checked against two oracles kept here:
 constructors are also checked against direct formulas.
 """
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -159,6 +161,12 @@ def slow_members(root, n):
     return values[id(root)]
 
 
+def trailing_zeros(x):
+    """2-adic valuation of each positive entry, through a float log2 of its
+    lowest set bit: an oracle independent of the library's strided slices."""
+    return np.round(np.log2((x & -x).astype(np.float64))).astype(np.int64)
+
+
 def reference_bits(root, n):
     """Membership over [0, n), unfolded: every node's whole prefix, bottom
     up, nothing cached."""
@@ -170,7 +178,7 @@ def reference_bits(root, n):
         elif kind == "rows":
             (k,) = node.nats
             x = np.arange(1, n + 1, dtype=np.int64)
-            out = lazyset._trailing_zeros_vec(x) < k
+            out = trailing_zeros(x) < k
         elif kind == "ap":
             a, b = node.nats
             out = np.zeros(n, dtype=bool)
@@ -180,7 +188,7 @@ def reference_bits(root, n):
             idx = np.flatnonzero(values[id(node.children[0])])
             ranks = np.arange(1, len(idx) + 1, dtype=np.int64)
             out = np.zeros(n, dtype=bool)
-            out[idx[lazyset._trailing_zeros_vec(ranks) == i]] = True
+            out[idx[trailing_zeros(ranks) == i]] = True
         else:
             x, y = (values[id(c)] for c in node.children)
             out = x | y if kind == "union" else x & y if kind == "inter" else x & ~y
@@ -408,6 +416,18 @@ def test_interning():
     assert ap(2, 0) is ap(2, 0)
     assert union(ap(2, 0), rows(1)) is union(ap(2, 0), rows(1))
     assert parse_set("union(ap(2,0),rows(1))") is union(ap(2, 0), rows(1))
+
+
+def test_copies_and_pickles_are_the_interned_set():
+    # a copy travels as the text, which is written and parsed without
+    # recursion, so a 3,000-deep union copies like a leaf
+    deep = rows(1)
+    for _ in range(3000):
+        deep = union(deep, rows(2))
+    for s in [empty(), piece(diff(rows(2), ap(3, 1)), 2), deep]:
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(s)) is s
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ The oracle models ordinals below w^w as descending lists of
 addition directly on those lists, with no shared code.
 """
 
+import copy
+import functools
+import pickle
 import random
 
 import pytest
@@ -344,6 +347,19 @@ def test_constructor_rejects_bad_terms():
         Ordinal(((1, 1),))
 
 
+@pytest.mark.parametrize("c", [2.0, True])
+def test_non_int_coefficient_rejected_with_or_without_a_twin(c):
+    """A coefficient equal to an int is refused whether or not the notation
+    with that int is alive, so the answer never depends on the table."""
+    n = int(c)
+    with pytest.raises(ValueError):
+        Ordinal(((OMEGA, c),))
+    twin = Ordinal(((OMEGA, n),))
+    with pytest.raises(ValueError):
+        Ordinal(((OMEGA, c),))
+    assert type(twin.terms[0][1]) is int
+
+
 def test_hash_consistency():
     rng = random.Random(8)
     seen = {}
@@ -360,3 +376,131 @@ def test_sample_below_respects_bound():
     bound = parse_ordinal("w^(2)")
     for _ in range(100):
         assert compare(sample_below(bound, rng), bound) == LT
+
+
+# ---------------------------------------------------------------------------
+# Interning.  The references below are structural and recursive: they read
+# the terms alone and never test identity.
+
+def ref_eq(a, b):
+    return len(a.terms) == len(b.terms) and all(
+        ca == cb and ref_eq(ea, eb)
+        for (ea, ca), (eb, cb) in zip(a.terms, b.terms))
+
+
+def ref_compare(a, b):
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = ref_compare(ea, eb)
+        if c != EQ:
+            return c
+        if ca != cb:
+            return LT if ca < cb else GT
+    if len(a.terms) == len(b.terms):
+        return EQ
+    return LT if len(a.terms) < len(b.terms) else GT
+
+
+def ref_prefix(a):
+    e, c = a.terms[-1]
+    return a.terms[:-1] if c == 1 else a.terms[:-1] + ((e, c - 1),)
+
+
+def ref_fundamental_sequence(a):
+    """One closure per level of limit exponents."""
+    e, _ = a.terms[-1]
+    prefix = ref_prefix(a)
+    kind, epred = classify(e)
+    if kind == "successor":
+        return lambda k: Ordinal(prefix + ((epred, k + 1),))
+    efs = ref_fundamental_sequence(e)
+    return lambda k: Ordinal(prefix + ((efs(k), 1),))
+
+
+def ref_fundamental_index(a, b):
+    e, _ = a.terms[-1]
+    prefix = ref_prefix(a)
+    n = len(prefix)
+    if (len(b.terms) <= n or not all(
+            ca == cb and ref_eq(ea, eb)
+            for (ea, ca), (eb, cb) in zip(b.terms[:n], prefix))):
+        return 0
+    eb, cb = b.terms[n]
+    kind, epred = classify(e)
+    if kind == "successor":
+        return cb if ref_eq(eb, epred) else 0
+    return ref_fundamental_index(e, eb)
+
+
+def random_nested(rng, depth):
+    """Up to three terms; exponents finite or, `depth` > 0, nested notations
+    themselves; coefficients up to 3, so trailing ones above 1 are common."""
+    exponents = []
+    for _ in range(rng.randint(1, 3)):
+        if depth and rng.random() < 0.5:
+            e = random_nested(rng, depth - 1)
+        else:
+            e = Ordinal.from_int(rng.randint(0, 3))
+        if not any(ref_eq(e, f) for f in exponents):
+            exponents.append(e)
+    exponents.sort(key=functools.cmp_to_key(ref_compare), reverse=True)
+    return Ordinal(tuple((e, rng.randint(1, 3)) for e in exponents))
+
+
+def test_interned_operations_match_structural_references():
+    rng = random.Random(31)
+    pool = [random_nested(rng, 3) for _ in range(60)]
+    pool += [parse_ordinal(format_ordinal(a)) for a in pool[:20]]
+    ties = 0
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            want = ref_compare(a, b)
+            assert compare(a, b) == want, (a, b)
+            assert (a is b) == (want == EQ) == (a == b) == ref_eq(a, b)
+            ties += i != j and want == EQ
+    assert ties > 40                # equal notations built apart
+    limits = [a for a in pool if classify(a)[0] == "limit"]
+    assert len(limits) > 20
+    for a in limits:
+        fs, ref = fundamental_sequence(a), ref_fundamental_sequence(a)
+        below = [b for b in pool if ref_compare(b, a) == LT]
+        for k in range(5):
+            assert fs(k) is ref(k)
+            below += [fs(k), add(fs(k), rng.choice(pool))]
+        for b in below:
+            if ref_compare(b, a) == LT:
+                assert fundamental_index(a, b) == ref_fundamental_index(a, b)
+
+
+def test_deep_notation_needs_no_recursion():
+    # 5,000 levels of w^( , far past what the parser admits; the twin
+    # differs at the bottom only (w*2 for w)
+    def build(base):
+        a = base
+        for _ in range(5000):
+            a = Ordinal(((a, 1),))
+        return a
+
+    a, twin = build(OMEGA), build(Ordinal(((ONE, 2),)))
+
+    def ops():
+        assert build(OMEGA) == a and hash(build(OMEGA)) == hash(a)
+        assert a != twin and compare(a, twin) == LT and compare(twin, a) == GT
+        fs = fundamental_sequence(a)
+        x = fs(3)
+        assert compare(x, a) == LT
+        assert fundamental_index(a, x) == 4
+
+    deeper(120, ops)
+
+
+def test_copies_and_pickles_are_the_interned_notation():
+    def copies(a):
+        assert copy.copy(a) is a
+        assert copy.deepcopy(a) is a
+        assert copy.deepcopy([a, (a,)])[1][0] is a
+        assert pickle.loads(pickle.dumps(a)) is a
+
+    for a in [ZERO, OMEGA, parse_ordinal("w^(w)*2+w+3"),
+              parse_ordinal(tower(MAX_NESTING))]:
+        deeper(120, lambda: copies(a))
+    assert ZERO.terms == () and ZERO.is_zero()
