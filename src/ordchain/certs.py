@@ -3,9 +3,10 @@ the naturals.
 
 A relation ``lower almost-contained-in upper`` is never decided; it is
 witnessed by an OrderCertificate: a finite exception bound m (every element
-of lower outside upper is < m) together with an enumerator of infinitely
-many elements of upper that avoid lower.  Certificates are checkable to any
-finite depth and compose transitively.
+of lower outside upper is < m) together with a surplus set, infinitely many
+elements of upper that avoid lower.  Certificates are checkable to any
+finite depth, from one prefix of each of their sets, and compose
+transitively.
 
 On top of the certificates this module builds:
 
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import functools
 import re
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
-                      escapes, inter, parse_set, piece, rows, union)
+                      inter, parse_set, piece, rows, union)
 from .ordinal import (ONE, Ordinal, compare, fundamental_index,
                       fundamental_sequence, left_subtract)
 
@@ -33,32 +33,24 @@ class InvalidCertificateError(ValueError):
     pass
 
 
-SurplusLike = Union[LazySet, Sequence[int]]
-
-
 @dataclass(frozen=True)
 class OrderCertificate:
     """Witness that `lower` is strictly almost-contained in `upper`.
 
-    Every element of lower \\ upper is < `bound`; `surplus` enumerates
-    distinct elements of upper \\ lower (a LazySet enumerates its elements
-    in increasing order; a plain sequence is taken as-is, which the
-    verifier will happily refute if it misbehaves).
+    Every element of lower \\ upper is < `bound`; `surplus` is a set of
+    elements of upper \\ lower, drawn in increasing order with `first_n`
+    (a surplus that misbehaves is refuted by the verifier).
     """
 
     lower: LazySet
     upper: LazySet
     bound: int
-    surplus: SurplusLike
+    surplus: LazySet
 
-    def surplus_elements(self, count: int) -> List[int]:
-        if isinstance(self.surplus, LazySet):
-            return self.surplus.first_n(count)
-        out = list(self.surplus[:count])
-        if len(out) < count:
-            raise ResourceLimitError(
-                f"explicit surplus has only {len(out)} elements")
-        return out
+    def __post_init__(self):
+        if not isinstance(self.surplus, LazySet):
+            raise TypeError(
+                f"surplus must be a LazySet, not {type(self.surplus).__name__}")
 
     def serialize(self) -> str:
         return f"cert{{m={self.bound}, lower={self.lower.expr}, upper={self.upper.expr}}}"
@@ -99,30 +91,30 @@ class Report:
 def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
     """Probe a certificate to finite depth.
 
-    Draws `depth` surplus elements (distinct, in upper, not in lower) and
-    checks every element of lower up to the probe bound: those >= the
-    exception bound must lie in upper.  That check is one bitmap
-    comparison, lower & ~upper over [bound, probe], and the first element
-    it flags is reported.  A failed check is reported, not raised.
+    Draws the `depth` smallest surplus elements and reads one prefix of
+    each of lower and upper, up to the probe bound: the largest of the
+    exception bound, the last surplus element and 4 * depth.  The first
+    surplus element outside upper or inside lower is reported; then every
+    element of lower from the exception bound up to the probe bound must
+    lie in upper, and the first that does not is reported.  A failed check
+    is reported, not raised.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     try:
-        surplus = cert.surplus_elements(depth)
+        surplus = cert.surplus.first_n(depth)
     except ResourceLimitError as exc:
         return Report(False, f"surplus exhausted: {exc}")
-    if len(set(surplus)) != len(surplus):
-        dupe = next(s for s, k in Counter(surplus).items() if k > 1)
-        return Report(False, f"surplus repeats element {dupe}")
-    for s in surplus:
-        if not cert.upper.member(s):
-            return Report(False, f"surplus element {s} not in upper")
-        if cert.lower.member(s):
-            return Report(False, f"surplus element {s} lies in lower")
-    probe = max(cert.bound, max(surplus, default=0), 4 * depth)
-    hits = escapes(cert.lower, cert.upper, cert.bound, probe + 1)
-    if len(hits):
-        return Report(False, f"element {int(hits[0])}")
+    probe = max(cert.bound, surplus[-1], 4 * depth) + 1
+    lower, upper = cert.lower.bits(probe), cert.upper.bits(probe)
+    bad = lower[surplus] | ~upper[surplus]
+    if bad.any():
+        s = surplus[int(bad.argmax())]
+        where = "not in upper" if not upper[s] else "lies in lower"
+        return Report(False, f"surplus element {s} {where}")
+    escaped = lower[cert.bound:] & ~upper[cert.bound:]
+    if escaped.any():
+        return Report(False, f"element {cert.bound + int(escaped.argmax())}")
     return Report(True, "OK")
 
 
@@ -172,10 +164,7 @@ def compose_certs(c1: OrderCertificate, c2: OrderCertificate) -> OrderCertificat
     bound = max(c1.bound, c2.bound)
     surplus = c2.surplus
     if c1.bound > 0:
-        if isinstance(surplus, LazySet):
-            surplus = inter(surplus, ap(1, c1.bound))
-        else:
-            surplus = [s for s in surplus if s >= c1.bound]
+        surplus = inter(surplus, ap(1, c1.bound))
     return OrderCertificate(c1.lower, c2.upper, bound, surplus)
 
 
@@ -201,8 +190,6 @@ class SplitChain:
     """
 
     def __init__(self, cert: OrderCertificate, validate: bool = True):
-        if not isinstance(cert.surplus, LazySet):
-            raise InvalidCertificateError("split needs a set-backed surplus")
         if validate:
             r = verify_certificate(cert, 4)
             if not r.ok:

@@ -25,11 +25,12 @@ where c is the number of members of s in one period (period 1 if c = 0).
 A node learns its shape once its children know theirs, and a piece learns
 c once its parent is folded.
 
-Each node caches a prefix bitmap of its membership, grown to the largest
-index asked for.  Once the prefix covers P + T the node is folded: the
-cache stops growing and holds one preperiod plus one period, and every
-later question is answered from it.  With or without caches, folded or
-not, the observable behavior is identical.
+Each node caches a prefix bitmap of its membership, grown by `bits` (which
+`member` and `first_n` call) to the largest index asked for.  Once the
+prefix covers P + T the node is folded: the cache stops growing and holds
+one preperiod plus one period, and every later question is answered from
+it.  With or without caches, folded or not, the observable behavior is
+identical.
 """
 
 from __future__ import annotations
@@ -146,25 +147,15 @@ class LazySet:
         """Membership indicator over [0, n)."""
         if n > _SCAN_CAP:
             raise ResourceLimitError(f"scan bound {n} exceeds cap {_SCAN_CAP}")
-        _grow(self, n)
+        if len(self._bits) < n and not _folded(self):
+            if _cached_bytes > _CACHE_BUDGET:
+                purge_caches()
+            _extend_bits(self, n)
         return _prefix(self, n)
 
     def member(self, n: int) -> bool:
-        if n < 0:
-            return False
-        if n >= _SCAN_CAP:
-            raise ResourceLimitError(f"scan bound {n + 1} exceeds cap {_SCAN_CAP}")
-        if n >= len(self._bits):
-            # grow geometrically so point probes stay amortized-linear
-            _grow(self, min(max(n + 1, 2 * len(self._bits), 1024), _SCAN_CAP))
-            if n >= len(self._bits):        # folded short of n
-                p, t = self._shape
-                n = p + (n - p) % t
-        return bool(self._bits[n])
-
-    def members_upto(self, n: int):
-        """Sorted members < n."""
-        return [int(v) for v in np.flatnonzero(self.bits(n))]
+        """Whether n is a member: one `bits` prefix to n + 1."""
+        return n >= 0 and bool(self.bits(n + 1)[n])
 
     def first_n(self, count: int):
         """The `count` smallest elements; ResourceLimitError if fewer lie
@@ -264,14 +255,6 @@ def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
 def _folded(node: LazySet) -> bool:
     shape = node._shape
     return bool(shape) and len(node._bits) >= shape[0] + shape[1]
-
-
-def _grow(node: LazySet, n: int) -> None:
-    """Make the cache of `node` cover [0, n), or fold it."""
-    if len(node._bits) < n and not _folded(node):
-        if _cached_bytes > _CACHE_BUDGET:
-            purge_caches()
-        _extend_bits(node, n)
 
 
 def _prefix(node: LazySet, n: int) -> np.ndarray:

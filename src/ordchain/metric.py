@@ -72,14 +72,6 @@ class MetricSpace:
         for (i, j), v in self._d.items():
             self._m[i, j] = self._m[j, i] = v.numerator * (self.scale // v.denominator)
 
-    @staticmethod
-    def from_points_1d(points: Sequence[Fraction],
-                       order: Optional[Sequence[int]] = None) -> "MetricSpace":
-        n = len(points)
-        dists = {(i, j): abs(Fraction(points[i]) - Fraction(points[j]))
-                 for i in range(n) for j in range(i + 1, n)}
-        return MetricSpace(n, dists, order if order is not None else range(n))
-
     def dist(self, i: int, j: int) -> Fraction:
         if i == j:
             return Fraction(0)
@@ -287,41 +279,6 @@ class ContChain:
         if not self._table[d, d] < self._table[e, d]:
             return "strictness"
         return None
-
-
-@dataclass
-class WitnessReport:
-    witnesses: List[Optional[int]]          # per consecutive pair
-    fibers: Dict[int, List[int]]            # d -> pair indices witnessed at d
-    missing: List[int]                      # pair indices with no witness
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing
-
-
-def witness_points(functions: Sequence, sample: Sequence[int]) -> WitnessReport:
-    """For each consecutive pair of functions, find a sample point where the
-    later one is strictly larger, and group the pairs by witness point.
-
-    `functions` are callables from point index to an exact value.  A pair
-    with no witness in the sample is reported, not invented.
-    """
-    witnesses: List[Optional[int]] = []
-    fibers: Dict[int, List[int]] = {}
-    missing: List[int] = []
-    for a in range(len(functions) - 1):
-        found = None
-        for p in sample:
-            if functions[a](p) < functions[a + 1](p):
-                found = p
-                break
-        witnesses.append(found)
-        if found is None:
-            missing.append(a)
-        else:
-            fibers.setdefault(found, []).append(a)
-    return WitnessReport(witnesses, fibers, missing)
 
 
 # ---------------------------------------------------------------------------

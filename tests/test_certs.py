@@ -5,6 +5,7 @@ import copy
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from ordchain import lazyset
@@ -54,29 +55,36 @@ def test_verify_accepts_with_adequate_bound():
     assert_valid(default_certificate(MULT4, inter(EVENS, ap(1, 1)), 1))
 
 
-def test_verify_catches_repeating_surplus():
-    bad = OrderCertificate(MULT4, EVENS, 0, [2, 6, 6, 10, 14, 18, 22, 26])
-    r = verify_certificate(bad, 3)
-    assert not r.ok
-    assert "repeats" in r.message and "6" in r.message
-
-
 def test_verify_catches_surplus_in_lower():
-    bad = OrderCertificate(MULT4, EVENS, 0, [2, 4, 6])
+    bad = OrderCertificate(MULT4, EVENS, 0, EVENS)
     r = verify_certificate(bad, 3)
-    assert not r.ok and "lies in lower" in r.message
+    assert not r.ok and r.message == "surplus element 0 lies in lower"
 
 
 def test_verify_catches_surplus_outside_upper():
-    bad = OrderCertificate(MULT4, EVENS, 0, [2, 3])
+    bad = OrderCertificate(MULT4, EVENS, 0, ap(2, 1))
     r = verify_certificate(bad, 2)
-    assert not r.ok and "not in upper" in r.message
+    assert not r.ok and r.message == "surplus element 1 not in upper"
 
 
 def test_verify_reports_exhausted_surplus():
-    bad = OrderCertificate(MULT4, EVENS, 0, [2, 6])
+    bad = OrderCertificate(MULT4, EVENS, 0, diff(diff(EVENS, MULT4), ap(1, 7)))
     r = verify_certificate(bad, 5)
-    assert not r.ok and "surplus" in r.message
+    assert not r.ok and r.message.startswith(
+        "surplus exhausted: found only 2 elements of ")
+
+
+def test_surplus_outside_upper_is_reported_before_lower():
+    # 1 lies in lower and outside upper (the bound allows it)
+    bad = OrderCertificate(union(MULT4, singleton(1)), EVENS, 2, ap(1, 1))
+    assert verify_certificate(bad, 4).message == "surplus element 1 not in upper"
+
+
+@pytest.mark.parametrize("surplus", [[2, 6, 10], (2, 6), range(2, 99, 4)],
+                         ids=["list", "tuple", "range"])
+def test_certificate_surplus_must_be_a_set(surplus):
+    with pytest.raises(TypeError, match="^surplus must be a LazySet, not "):
+        OrderCertificate(MULT4, EVENS, 0, surplus)
 
 
 def test_certificates_are_not_decisions():
@@ -87,26 +95,29 @@ def test_certificates_are_not_decisions():
     assert not r.ok
 
 
+def members_upto(s, n):
+    """Sorted members of s below n."""
+    return np.flatnonzero(s.bits(n)).tolist()
+
+
 def reference_verify(cert, depth):
-    """The verifier as it was before its probe became one bitmap
-    comparison: every element of lower up to the probe bound is looked up
-    in upper one at a time.  An oracle for verify_certificate."""
+    """The verifier as it was before it read one prefix of each set: every
+    surplus element, and every element of lower up to the probe bound, is
+    looked up with `member` one at a time.  An oracle for
+    verify_certificate."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     try:
-        surplus = cert.surplus_elements(depth)
+        surplus = cert.surplus.first_n(depth)
     except ResourceLimitError as exc:
         return Report(False, f"surplus exhausted: {exc}")
-    if len(set(surplus)) != len(surplus):
-        dupe = next(s for s in surplus if surplus.count(s) > 1)
-        return Report(False, f"surplus repeats element {dupe}")
     for s in surplus:
         if not cert.upper.member(s):
             return Report(False, f"surplus element {s} not in upper")
         if cert.lower.member(s):
             return Report(False, f"surplus element {s} lies in lower")
     probe = max(cert.bound, max(surplus, default=0), 4 * depth)
-    for e in cert.lower.members_upto(probe + 1):
+    for e in members_upto(cert.lower, probe + 1):
         if e >= cert.bound and not cert.upper.member(e):
             return Report(False, f"element {e}")
     return Report(True, "OK")
@@ -142,13 +153,29 @@ def oracle_corpus():
         default_certificate(MULT4, evens_from_2, 0),            # FAIL element 0
         default_certificate(union(MULT4, union(singleton(7), singleton(11))),
                             EVENS, 8),                          # FAIL element 11
-        OrderCertificate(MULT4, EVENS, 0, [2, 3, 6, 10] + list(range(14, 200, 4))),
-        OrderCertificate(MULT4, EVENS, 0, [2, 4, 6] + list(range(10, 200, 4))),
-        OrderCertificate(MULT4, EVENS, 0, [2, 6, 6] + list(range(10, 200, 4))),
-        OrderCertificate(MULT4, EVENS, 0, [2, 6]),              # too short
-        OrderCertificate(MULT4, EVENS, 0, [-2] + list(range(2, 200, 4))),
+        OrderCertificate(MULT4, EVENS, 0,                       # 3 not in upper
+                         union(diff(EVENS, MULT4), singleton(3))),
+        OrderCertificate(MULT4, EVENS, 0,                       # 4 lies in lower
+                         union(diff(EVENS, MULT4), singleton(4))),
+        OrderCertificate(MULT4, EVENS, 0,                       # only 2 and 6
+                         diff(diff(EVENS, MULT4), ap(1, 7))),
+        OrderCertificate(union(MULT4, singleton(1)), EVENS, 2,  # 1: both
+                         ap(1, 1)),
     ]
     return certs
+
+
+def verdict(report):
+    """The kind of a report: OK, element, or one of the three surplus
+    failures."""
+    words = report.message.split(" ", 3)
+    if words[:2] == ["surplus", "element"]:
+        return words[3]
+    return "surplus exhausted" if words[0] == "surplus" else words[0]
+
+
+VERDICTS = {"OK", "element", "surplus exhausted", "not in upper",
+            "lies in lower"}
 
 
 @pytest.mark.parametrize("depth", [4, 16, 32])
@@ -157,31 +184,61 @@ def test_verify_matches_reference(depth):
     for cert in oracle_corpus():
         report = verify_certificate(cert, depth)
         assert report == reference_verify(cert, depth), cert.serialize()
-        reports.append(report.message.split(" ")[0])
+        reports.append(verdict(report))
     # the corpus reaches every verdict
-    assert {"OK", "element", "surplus"} <= set(reports)
+    assert set(reports) == VERDICTS
 
 
-def test_repeated_surplus_matches_reference():
-    """The one-pass duplicate check names the same element as the
-    reference's quadratic scan: the first, in surplus order, whose value
-    occurs more than once."""
-    rng = random.Random(67)
-    surpluses = [[2, 6, 10, 6, 2], [2, 6, 10, 14, 14], [10, 6, 6, 10],
-                 [2, 6, 10, 14, 18, 2]]
-    for _ in range(200):
-        n = rng.randint(2, 120)
-        s = rng.sample(range(2, 8 * n, 4), n)
-        for _ in range(rng.randint(1, 4)):      # several repeats
-            s[rng.randrange(n)] = rng.choice(s)
-        if len(set(s)) == n:
-            s[-1] = s[rng.randrange(n - 1)]     # a repeat at the very end
-        surpluses.append(s)
-    for s in surpluses:
-        cert = OrderCertificate(MULT4, EVENS, 0, s)
-        report = verify_certificate(cert, len(s))
-        assert report == reference_verify(cert, len(s)), s
-        assert report.message.startswith("surplus repeats element ")
+def random_set(rng, depth):
+    """A small random expression of depth <= depth + 1, with leaves whose
+    periods keep every node folding early."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([
+            lambda: empty(),
+            lambda: rows(rng.randint(1, 3)),
+            lambda: ap(rng.randint(1, 6), rng.randint(0, 10)),
+            lambda: ap(1, rng.randint(0, 30)),
+            lambda: singleton(rng.randint(0, 30)),
+        ])()
+    op = rng.choice(["union", "inter", "diff", "diff", "piece"])
+    if op == "piece":
+        return piece(random_set(rng, depth - 1), rng.randint(0, 2))
+    ctor = {"union": union, "inter": inter, "diff": diff}[op]
+    return ctor(random_set(rng, depth - 1), random_set(rng, depth - 1))
+
+
+def random_certificate(rng):
+    """Lower, upper and surplus drawn apart, or the surplus drawn from
+    upper minus lower (a piece of it, or cut by another set), so that
+    every verdict occurs."""
+    lower, upper = random_set(rng, 3), random_set(rng, 3)
+    if rng.random() < 0.5:
+        surplus = random_set(rng, 3)
+    else:
+        surplus = rng.choice([
+            lambda: diff(upper, lower),
+            lambda: piece(diff(upper, lower), rng.randint(0, 2)),
+            lambda: inter(diff(upper, lower), random_set(rng, 2)),
+            lambda: union(diff(upper, lower), random_set(rng, 1)),
+        ])()
+    if rng.random() < 0.5:
+        lower = inter(lower, union(upper, random_set(rng, 1)))
+    return OrderCertificate(lower, upper, rng.randint(0, 8), surplus)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_matches_reference_on_random_certificates(seed):
+    """Random small certificates: bounds 0-8 and depths 1-40."""
+    rng = random.Random(1200 + seed)
+    lazyset.set_scan_cap(1 << 16)       # put back by conftest.py
+    seen = set()
+    for _ in range(400):
+        cert = random_certificate(rng)
+        depth = rng.randint(1, 40)
+        report = verify_certificate(cert, depth)
+        assert report == reference_verify(cert, depth), (cert.serialize(), depth)
+        seen.add(verdict(report))
+    assert seen == VERDICTS
 
 
 def test_verify_matches_reference_under_low_scan_cap():
@@ -220,7 +277,7 @@ def test_compose_surplus_odds():
     c1 = default_certificate(MULT4, EVENS, 0)
     c2 = default_certificate(EVENS, NATS, 0)
     c = compose_certs(c1, c2)
-    assert c.surplus_elements(10) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
+    assert c.surplus.first_n(10) == [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]
     assert_valid(c)
 
 
@@ -228,12 +285,12 @@ def test_compose_thresholds_surplus():
     c1 = OrderCertificate(MULT4, EVENS, 6, diff(EVENS, MULT4))
     c2 = default_certificate(EVENS, NATS, 0)
     c = compose_certs(c1, c2)
-    assert min(c.surplus_elements(5)) >= 6
+    assert min(c.surplus.first_n(5)) >= 6
     assert_valid(c)
-    # explicit-sequence surplus is thresholded the same way
-    c2l = OrderCertificate(EVENS, NATS, 0, [1, 3, 5, 7, 9, 11, 13])
+    # a finite surplus is thresholded the same way
+    c2l = OrderCertificate(EVENS, NATS, 0, diff(ap(2, 1), ap(1, 14)))
     cl = compose_certs(c1, c2l)
-    assert cl.surplus_elements(3) == [7, 9, 11]
+    assert cl.surplus.first_n(3) == [7, 9, 11]
 
 
 def test_compose_rejects_mismatched_middle():
@@ -268,7 +325,7 @@ def test_certificate_serialize_parse_roundtrip():
     back = parse_certificate(text)
     assert back.lower is c.lower and back.upper is c.upper
     assert back.bound == 3
-    assert back.surplus_elements(3) == c.surplus_elements(3)
+    assert back.surplus is c.surplus
 
 
 def test_parse_certificate_rejects_garbage():
@@ -283,9 +340,9 @@ def test_parse_certificate_rejects_garbage():
 
 def test_base_chain_values():
     assert rows(0) is empty()
-    assert rows(1).members_upto(9) == [0, 2, 4, 6, 8]
+    assert members_upto(rows(1), 9) == [0, 2, 4, 6, 8]
     c = base_cert(1, 2)
-    assert c.surplus_elements(3) == [1, 5, 9]
+    assert c.surplus.first_n(3) == [1, 5, 9]
     assert c.bound == 0
 
 
@@ -311,9 +368,9 @@ def test_split_chain_structure():
     chain = SplitChain(base_cert(0, 1))
     z1 = chain.z(1)
     z2 = chain.z(2)
-    members1 = set(z1.members_upto(10000))
-    members2 = set(z2.members_upto(10000))
-    evens = set(EVENS.members_upto(10000))
+    members1 = set(members_upto(z1, 10000))
+    members2 = set(members_upto(z2, 10000))
+    evens = set(members_upto(EVENS, 10000))
     assert members1 and members1 <= members2 <= evens
     assert len(evens - members1) > 100           # complement stays infinite
 
@@ -342,7 +399,8 @@ def test_split_rejects_invalid_interval():
     with pytest.raises(InvalidCertificateError):
         SplitChain(default_certificate(EVENS, MULT4, 0))
     with pytest.raises(InvalidCertificateError):
-        SplitChain(OrderCertificate(MULT4, EVENS, 0, [2, 6, 10]))
+        SplitChain(OrderCertificate(MULT4, EVENS, 0,        # only 2, 6, 10
+                                    diff(diff(EVENS, MULT4), ap(1, 11))))
 
 
 def test_split_chain_index_contracts():
@@ -450,7 +508,7 @@ def test_tree_discipline_random():
 def test_embed_finite_chain():
     emb = OrdinalEmbedding(Ordinal.from_int(3), default_interval())
     sets = [emb.member(Ordinal.from_int(k)) for k in range(3)]
-    m = [set(s.members_upto(4000)) for s in sets]
+    m = [set(members_upto(s, 4000)) for s in sets]
     assert m[0] < m[1] < m[2]
     for i in range(3):
         for j in range(i + 1, 3):
@@ -495,10 +553,11 @@ def test_embed_invalid_interval_message():
 
 @pytest.mark.parametrize("validate", [True, False])
 def test_embed_rejects_explicit_surplus_at_construction(validate):
-    explicit = OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14])
-    with pytest.raises(InvalidCertificateError,
-                       match="split needs a set-backed surplus"):
-        OrdinalEmbedding(parse_ordinal("w*2"), explicit, validate=validate)
+    # the certificate itself refuses it, before any split could see it
+    with pytest.raises(TypeError, match="surplus must be a LazySet, not list"):
+        OrdinalEmbedding(parse_ordinal("w*2"),
+                         OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14]),
+                         validate=validate)
 
 
 def reference_blocks(bound):

@@ -2,21 +2,31 @@
 evaluation, witnesses, and the space-file format."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
 from ordchain.metric import (ContChain, LocalityError, MetricAxiomError,
                              MetricSpace, SeparatedNets, SpaceParseError,
-                             format_eval, parse_space, phi, psi,
-                             witness_points)
+                             format_eval, parse_space, phi, psi)
 
 F = Fraction
 
 
+def points_1d(points, order=None):
+    """The space of rational points on a line, ordered by `order` (by index
+    if None)."""
+    n = len(points)
+    dists = {(i, j): abs(F(points[i]) - F(points[j]))
+             for i in range(n) for j in range(i + 1, n)}
+    return MetricSpace(n, dists, order if order is not None else range(n))
+
+
 def two_point_space():
     # points a=0, b=1 at distance 1, order a before b
-    return MetricSpace.from_points_1d([F(0), F(1)])
+    return points_1d([F(0), F(1)])
 
 
 def random_space(rng, n, order_shuffle=True):
@@ -25,7 +35,7 @@ def random_space(rng, n, order_shuffle=True):
     order = list(range(n))
     if order_shuffle:
         rng.shuffle(order)
-    return MetricSpace.from_points_1d(points, order)
+    return points_1d(points, order)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +147,7 @@ def test_order_must_be_permutation():
 
 
 def test_dist_and_precedes():
-    ms = MetricSpace.from_points_1d([F(0), F(3), F(5)], order=[2, 0, 1])
+    ms = points_1d([F(0), F(3), F(5)], order=[2, 0, 1])
     assert ms.dist(1, 2) == F(2) == ms.dist(2, 1)
     assert ms.dist(1, 1) == 0
     assert ms.precedes(2, 0) and not ms.precedes(1, 0)
@@ -157,13 +167,13 @@ def test_two_point_net_levels():
 
 
 def test_singleton_net():
-    nets = SeparatedNets(MetricSpace.from_points_1d([F(7)]))
+    nets = SeparatedNets(points_1d([F(7)]))
     for n in range(3):
         assert nets.level(n) == [0]
 
 
 def test_net_saturates_below_min_distance():
-    ms = MetricSpace.from_points_1d([F(0), F(1, 2), F(2)])
+    ms = points_1d([F(0), F(1, 2), F(2)])
     nets = SeparatedNets(ms)
     # 2^{2-n} <= 1/2 from n = 3 on
     assert nets.level(3) == [0, 1, 2]
@@ -204,7 +214,7 @@ def test_phi_values():
     nets = SeparatedNets(ms)
     assert phi(ms, nets, 0, 0, 0) == 1            # dist 0, level 0
     assert phi(ms, nets, 0, 0, 1) == 0            # dist 1 >= 2^0
-    ms3 = MetricSpace.from_points_1d([F(0), F(1, 8), F(10)])
+    ms3 = points_1d([F(0), F(1, 8), F(10)])
     nets3 = SeparatedNets(ms3)
     assert phi(ms3, nets3, 2, 0, 1) == F(1, 8)    # 1/4 - 1/8
 
@@ -227,13 +237,13 @@ def test_psi_strictness_identity():
 
 
 def test_psi_no_center_in_range():
-    ms = MetricSpace.from_points_1d([F(0), F(10)])
+    ms = points_1d([F(0), F(10)])
     nets = SeparatedNets(ms)
     assert psi(ms, nets, 0, 1, 1) == 0            # only center 0, too far
 
 
 def test_psi_locality_fault_injection():
-    ms = MetricSpace.from_points_1d([F(0), F(1, 8)])
+    ms = points_1d([F(0), F(1, 8)])
     nets = SeparatedNets(ms, levels=[[0, 1]])     # corrupt: both as centers
     with pytest.raises(LocalityError):
         psi(ms, nets, 0, 1, 0)
@@ -336,6 +346,41 @@ def test_chain_rejects_bad_metric():
 
 # ---------------------------------------------------------------------------
 # Witness extraction.
+
+@dataclass
+class WitnessReport:
+    witnesses: List[Optional[int]]          # per consecutive pair
+    fibers: Dict[int, List[int]]            # d -> pair indices witnessed at d
+    missing: List[int]                      # pair indices with no witness
+
+    @property
+    def ok(self) -> bool:
+        return not self.missing
+
+
+def witness_points(functions: Sequence, sample: Sequence[int]) -> WitnessReport:
+    """For each consecutive pair of functions, find a sample point where the
+    later one is strictly larger, and group the pairs by witness point.
+
+    `functions` are callables from point index to an exact value.  A pair
+    with no witness in the sample is reported, not invented.
+    """
+    witnesses: List[Optional[int]] = []
+    fibers: Dict[int, List[int]] = {}
+    missing: List[int] = []
+    for a in range(len(functions) - 1):
+        found = None
+        for p in sample:
+            if functions[a](p) < functions[a + 1](p):
+                found = p
+                break
+        witnesses.append(found)
+        if found is None:
+            missing.append(a)
+        else:
+            fibers.setdefault(found, []).append(a)
+    return WitnessReport(witnesses, fibers, missing)
+
 
 def test_witness_two_point():
     chain = ContChain(two_point_space())
@@ -445,7 +490,7 @@ def test_truncated_eval_far_beyond_stable_level():
 
 
 def test_integer_path_locality_fault_injection():
-    ms = MetricSpace.from_points_1d([F(0), F(1, 8), F(10)])
+    ms = points_1d([F(0), F(1, 8), F(10)])
     ref = Reference(ms.n, {(0, 1): F(1, 8), (0, 2): F(10), (1, 2): F(79, 8)},
                     ms.order)
     ref.nets[0] = [0, 1]
