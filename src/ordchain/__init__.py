@@ -16,6 +16,6 @@ from .baire import (BaireFunction, ChainFamily, EmbeddingFamily,
                     ExplicitFamily, FSigmaWitness, IncomparableError,
                     fsigma_witness, verify_chain_monotone)
 from .metric import (ContChain, MetricAxiomError, MetricSpace, SeparatedNets,
-                     parse_space, phi, psi)
+                     parse_space)
 
 __version__ = "0.1.0"

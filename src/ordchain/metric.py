@@ -8,14 +8,14 @@ strictly below it in the order.  The resulting functions live in [0, 2],
 increase with the order, and are strictly separated at the lower point of
 every ordered pair.
 
-Arithmetic is exact and runs on integers over one common denominator.  A
-space multiplies every distance once, at construction, by L, the least
-common multiple of the distances' denominators, into an n x n numpy matrix
-of Python ints.  The metric check, the nets, the bump sums and the value
-table compare and add those integers; a value of f_d is a numerator over
-L * 2^S, S the stable level, beyond which the infinite level sum collapses
-to a closed form.  `Fraction` appears only where a value leaves the
-module: `dist`, `phi`, `psi`, `ContChain.eval` and `ContChain.value_table`.
+Arithmetic is exact and runs on integers over one common denominator.  The
+parser reads each distance as a (numerator, denominator) pair of ints, and a
+space keeps one n x n numpy matrix of Python ints: every distance times L,
+the least common multiple of the denominators.  The metric check, the nets,
+the bump sums and the value table compare and add those integers; a value
+of f_d is a numerator over L * 2^S, S the stable level, beyond which the
+infinite level sum collapses to a closed form.  `Fraction` appears only in
+`dist`, `ContChain.eval`, `ContChain.value_table` and error texts.
 """
 
 from __future__ import annotations
@@ -44,40 +44,38 @@ class SpaceParseError(ValueError):
 
 class MetricSpace:
     """Finite point set with exact rational metric and a total order on the
-    (dense = full) point set.  `scale` is L, the least common multiple of
-    the distances' denominators."""
+    (dense = full) point set.  `dists[(i, j)]`, for every i < j, is the
+    distance as an int pair (p, q), q nonzero of either sign and p/q not
+    necessarily reduced.  `scale` is L, the least common multiple of the
+    q's, and `_m[i, j]` is L * d(i, j)."""
 
-    def __init__(self, n_points: int, dists: Dict[Tuple[int, int], Fraction],
+    def __init__(self, n_points: int, dists: Dict[Tuple[int, int], Tuple[int, int]],
                  order: Sequence[int]):
         if n_points < 0:
             raise SpaceParseError(f"point count must be >= 0, not {n_points}")
         self.n = n_points
-        self._d = dict(dists)
         self.order = list(order)
         if len(self.order) != self.n or sorted(self.order) != list(range(self.n)):
             raise SpaceParseError("order must list every point index exactly once")
         self.pos = [0] * self.n
         for p, idx in enumerate(self.order):
             self.pos[idx] = p
-        for i, j in self._d:
+        self._pairs = list(dists)       # in the order given, for validate
+        for i, j in self._pairs:
             if not 0 <= i < j < self.n:
                 raise SpaceParseError(f"distance for pair {i} {j}: no such pair of points")
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if (i, j) not in self._d:
+                if (i, j) not in dists:
                     raise SpaceParseError(f"missing distance for pair {i} {j}")
-        self.scale = math.lcm(*(v.denominator for v in self._d.values()))
-        # L * d(i, j) as Python ints: symmetric, zero on the diagonal
+        self.scale = math.lcm(*(q for _, q in dists.values()))
+        # symmetric, zero on the diagonal; L // q is exact for either sign of q
         self._m = np.zeros((self.n, self.n), dtype=object)
-        for (i, j), v in self._d.items():
-            self._m[i, j] = self._m[j, i] = v.numerator * (self.scale // v.denominator)
+        for (i, j), (p, q) in dists.items():
+            self._m[i, j] = self._m[j, i] = p * (self.scale // q)
 
     def dist(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i > j:
-            i, j = j, i
-        return self._d[(i, j)]
+        return Fraction(self._m[i, j], self.scale)
 
     def precedes(self, d: int, e: int) -> bool:
         return self.pos[d] < self.pos[e]
@@ -87,7 +85,7 @@ class MetricSpace:
         the triangle ones in (i, j, k) order."""
         m = self._m
         bad = []
-        for i, j in self._d:
+        for i, j in self._pairs:
             if m[i, j] < 0:
                 bad.append(f"nonnegativity {i} {j}")
             if m[i, j] == 0:
@@ -97,11 +95,6 @@ class MetricSpace:
             for j, k in np.argwhere(m[i][:, None] > m[i][None, :] + m):
                 bad.append(f"triangle {i} {j} {k}")
         return bad
-
-    def min_distance(self) -> Optional[Fraction]:
-        if self.n < 2:
-            return None
-        return Fraction(self._m[np.triu_indices(self.n, 1)].min(), self.scale)
 
     def _closer_than(self, k: int, n: int, cols=slice(None)) -> np.ndarray:
         """Boolean matrix of d(x, c) < k * 2^(-n), for every point x and
@@ -168,27 +161,10 @@ class SeparatedNets:
             f"level {n}: centers {hits} all within {Fraction(1, 2 ** n)} of point {x}")
 
 
-def phi(space: MetricSpace, nets: SeparatedNets, n: int, c: int, x: int) -> Fraction:
-    """Bump of height 2^(-n) at center c, clipped at zero."""
-    if c not in nets.level(n):
-        raise ValueError(f"point {c} is not a level-{n} center")
-    return Fraction(max(0, space.scale - (space._m[x, c] << n)), space.scale << n)
-
-
-def psi(space: MetricSpace, nets: SeparatedNets, n: int, d: int, x: int) -> Fraction:
-    """Level-n bump sum of the centers strictly below d; by separation at
-    most one bump is live at x, so the sum has at most one term."""
-    c = int(nets._centers(n)[x])
-    if c == -2:
-        raise nets._locality_error(n, x)
-    if c == -1 or not space.precedes(c, d):
-        return Fraction(0)
-    return phi(space, nets, n, c, x)
-
-
 class ContChain:
-    """The family {f_d}: f_d is the level sum of psi, monotone in the order
-    on D and strict at d for every ordered pair."""
+    """The family {f_d}: f_d(x) sums, per level, the bump of x's one center
+    in range if that center precedes d; monotone in the order on D and
+    strict at d for every ordered pair."""
 
     def __init__(self, space: MetricSpace):
         violations = space.validate()
@@ -202,20 +178,21 @@ class ContChain:
     def _stable_level(self) -> int:
         """First level beyond which every net is all of D and the only
         center within bump range of a point is the point itself."""
-        delta = self.space.min_distance()
-        if delta is None:
+        space = self.space
+        if space.n < 2:
             return 0
+        least = space._m[np.triu_indices(space.n, 1)].min()
         n = 0
-        while delta.numerator << n < 4 * delta.denominator:
+        while least << n < 4 * space.scale:
             n += 1
         return n
 
     @cached_property
     def _terms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per level n below the stable level, per point x: the order
-        position of x's center in range (n_points if none) and psi's term
-        at x as a numerator over L * 2^S, due to every d after that center.
-        Raises LocalityError at the first point with two centers."""
+        position of x's center in range (n_points if none) and the level-n
+        term at x as a numerator over L * 2^S, due to every d after that
+        center.  Raises LocalityError at the first point with two centers."""
         space, top = self.space, self.stable_level
         scale = space.scale
         after = np.array(space.pos + [space.n])   # index -1: no center
@@ -289,7 +266,7 @@ class ContChain:
 
 def parse_space(text: str) -> MetricSpace:
     n = None
-    dists: Dict[Tuple[int, int], Fraction] = {}
+    dists: Dict[Tuple[int, int], Tuple[int, int]] = {}
     order = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -304,18 +281,20 @@ def parse_space(text: str) -> MetricSpace:
                 if i == j:
                     raise ValueError("dist lines need two distinct points")
                 p, q = fields[3].split("/")
-                value = Fraction(int(p), int(q))
-                key = (min(i, j), max(i, j))
-                if key in dists and dists[key] != value:
+                p, q = int(p), int(q)
+                if q == 0:
+                    raise ValueError(f"distance {fields[3]} has denominator 0")
+                key = (i, j) if i < j else (j, i)
+                p0, q0 = dists.setdefault(key, (p, q))
+                if p * q0 != p0 * q:
                     raise MetricAxiomError(f"symmetry {key[0]} {key[1]}")
-                dists[key] = value
             elif fields[0] == "order":
                 order = [int(f) for f in fields[1:]]
             else:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except MetricAxiomError:
             raise
-        except (IndexError, ValueError, ZeroDivisionError) as exc:
+        except (IndexError, ValueError) as exc:
             raise SpaceParseError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise SpaceParseError("missing 'points' header")

@@ -137,22 +137,32 @@ def test_space_text_keeps_the_exit_contract(input_file, text, check_all,
 @st.composite
 def small_spaces(draw):
     """A space file of k <= 5 points of a line, distances over one
-    denominator; now and then a distance is redrawn (which may break an
-    axiom), a pair is repeated the other way round (maybe with another
+    denominator, each written p/q times a factor that may be negative (an
+    unreduced value, or a negative denominator), and now and then over a
+    zero denominator.  Now and then a distance is redrawn (which may break
+    an axiom), a pair is repeated either way round (maybe with another
     value), or the order is not a permutation.  With it, an --eval point
     D,X that is out of range only when D or X is k."""
     k = draw(st.integers(0, 5))
     xs = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True))
     q = draw(st.integers(1, 4))
+
+    def value(p):
+        if draw(st.integers(0, 49)) == 0:
+            return f"{p}/0"
+        factor = draw(st.sampled_from([1, 1, 1, 2, 3, -1, -2]))
+        return f"{p * factor}/{q * factor}"
+
     lines = [f"points {k}"]
     for i in range(k):
         for j in range(i + 1, k):
             p = abs(xs[i] - xs[j])
             if draw(st.integers(0, 9)) == 0:
                 p = draw(st.integers(0, 9))
-            lines.append(f"dist {i} {j} {p}/{q}")
+            lines.append(f"dist {i} {j} {value(p)}")
             if draw(st.integers(0, 7)) == 0:
-                lines.append(f"dist {j} {i} {draw(st.sampled_from([p, p + 1]))}/{q}")
+                a, b = draw(st.sampled_from([(i, j), (j, i)]))
+                lines.append(f"dist {a} {b} {value(draw(st.sampled_from([p, p + 1])))}")
     order = draw(st.permutations(range(k)))
     if draw(st.integers(0, 4)) == 0:
         order = draw(st.lists(st.integers(0, 5), max_size=5))

@@ -2,6 +2,7 @@
 evaluation, witnesses, and the space-file format."""
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
@@ -10,9 +11,15 @@ import pytest
 
 from ordchain.metric import (ContChain, LocalityError, MetricAxiomError,
                              MetricSpace, SeparatedNets, SpaceParseError,
-                             format_eval, parse_space, phi, psi)
+                             format_eval, parse_space)
 
 F = Fraction
+
+
+def as_pairs(dists):
+    """A table of Fraction distances as the (numerator, denominator) pairs
+    that MetricSpace takes."""
+    return {key: (v.numerator, v.denominator) for key, v in dists.items()}
 
 
 def points_1d(points, order=None):
@@ -21,7 +28,12 @@ def points_1d(points, order=None):
     n = len(points)
     dists = {(i, j): abs(F(points[i]) - F(points[j]))
              for i in range(n) for j in range(i + 1, n)}
-    return MetricSpace(n, dists, order if order is not None else range(n))
+    return MetricSpace(n, as_pairs(dists), order if order is not None else range(n))
+
+
+def level_term(chain, n, d, x):
+    """The level-n term of f_d(x): two truncated sums apart."""
+    return chain.eval(d, x, truncate=n + 1)[0] - chain.eval(d, x, truncate=n)[0]
 
 
 def two_point_space():
@@ -47,6 +59,25 @@ class Reference:
         self.n, self.dists = n, dists
         self.pos = {p: k for k, p in enumerate(order)}
         self.nets = {}
+
+    @classmethod
+    def parse(cls, text):
+        """The space a file describes, read through Fraction: the pairs in
+        the order first given, MetricAxiomError on a pair repeated with
+        another value."""
+        n, dists, order = None, {}, None
+        for line in text.splitlines():
+            word, *rest = line.split()
+            if word == "points":
+                n = int(rest[0])
+            elif word == "dist":
+                i, j = sorted(map(int, rest[:2]))
+                value = F(*map(int, rest[2].split("/")))
+                if dists.setdefault((i, j), value) != value:
+                    raise MetricAxiomError(f"symmetry {i} {j}")
+            else:
+                order = [int(f) for f in rest]
+        return cls(n, dists, order)
 
     def dist(self, i, j):
         return F(0) if i == j else self.dists[(min(i, j), max(i, j))]
@@ -128,22 +159,22 @@ def test_validate_accepts_good_space():
 
 
 def test_validate_names_violated_axiom():
-    bad = MetricSpace(2, {(0, 1): F(0)}, [0, 1])
+    bad = MetricSpace(2, {(0, 1): (0, 1)}, [0, 1])
     assert "identity 0 1" in bad.validate()
-    bad = MetricSpace(2, {(0, 1): F(-1)}, [0, 1])
+    bad = MetricSpace(2, {(0, 1): (-1, 1)}, [0, 1])
     assert "nonnegativity 0 1" in bad.validate()
-    bad = MetricSpace(3, {(0, 1): F(5), (0, 2): F(1), (1, 2): F(1)}, [0, 1, 2])
+    bad = MetricSpace(3, {(0, 1): (5, 1), (0, 2): (1, 1), (1, 2): (1, 1)}, [0, 1, 2])
     assert any(v.startswith("triangle") for v in bad.validate())
 
 
 def test_missing_distance_rejected():
     with pytest.raises(SpaceParseError):
-        MetricSpace(3, {(0, 1): F(1)}, [0, 1, 2])
+        MetricSpace(3, {(0, 1): (1, 1)}, [0, 1, 2])
 
 
 def test_order_must_be_permutation():
     with pytest.raises(SpaceParseError):
-        MetricSpace(2, {(0, 1): F(1)}, [0, 0])
+        MetricSpace(2, {(0, 1): (1, 1)}, [0, 0])
 
 
 def test_dist_and_precedes():
@@ -151,7 +182,14 @@ def test_dist_and_precedes():
     assert ms.dist(1, 2) == F(2) == ms.dist(2, 1)
     assert ms.dist(1, 1) == 0
     assert ms.precedes(2, 0) and not ms.precedes(1, 0)
-    assert ms.min_distance() == F(2)
+
+
+def test_unreduced_pairs_of_either_sign():
+    ms = MetricSpace(3, {(0, 1): (-2, -4), (1, 2): (3, -6), (0, 2): (5, 3)},
+                     [0, 1, 2])
+    assert ms.dist(1, 0) == F(1, 2) and ms.dist(2, 1) == F(-1, 2)
+    assert ms.dist(0, 2) == F(5, 3)
+    assert ms.validate()[0] == "nonnegativity 1 2"
 
 
 # ---------------------------------------------------------------------------
@@ -200,53 +238,38 @@ def test_check_level_catches_violations():
 
 def test_build_nets_rejects_bad_metric():
     # ContChain validates the metric before it builds any net
-    bad = MetricSpace(3, {(0, 1): F(5), (0, 2): F(1), (1, 2): F(1)}, [0, 1, 2])
+    bad = MetricSpace(3, {(0, 1): (5, 1), (0, 2): (1, 1), (1, 2): (1, 1)}, [0, 1, 2])
     with pytest.raises(MetricAxiomError) as err:
         ContChain(bad)
     assert "triangle" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
-# Bumps.
+# Bumps: the level-n term of f_d(x) is the bump of x's level-n center, if
+# it precedes d, read off two truncated sums.
 
 def test_phi_values():
-    ms = two_point_space()
-    nets = SeparatedNets(ms)
-    assert phi(ms, nets, 0, 0, 0) == 1            # dist 0, level 0
-    assert phi(ms, nets, 0, 0, 1) == 0            # dist 1 >= 2^0
-    ms3 = points_1d([F(0), F(1, 8), F(10)])
-    nets3 = SeparatedNets(ms3)
-    assert phi(ms3, nets3, 2, 0, 1) == F(1, 8)    # 1/4 - 1/8
-
-
-def test_phi_requires_center():
-    ms = two_point_space()
-    nets = SeparatedNets(ms)
-    with pytest.raises(ValueError):
-        phi(ms, nets, 0, 1, 0)                    # 1 not a level-0 center
+    chain = ContChain(two_point_space())
+    assert level_term(chain, 0, 1, 0) == 1        # center 0 at dist 0, level 0
+    assert level_term(chain, 0, 1, 1) == 0        # dist 1 >= 2^0: no center
+    chain3 = ContChain(points_1d([F(0), F(1, 8), F(10)]))
+    assert 0 in chain3.nets.level(2) and 1 not in chain3.nets.level(2)
+    assert level_term(chain3, 2, 2, 1) == F(1, 8)  # 1/4 - 1/8
 
 
 def test_psi_strictness_identity():
     # d in D_n and d before e gives psi_d(d) = 0 < 2^-n = psi_e(d)
     ms = two_point_space()
-    nets = SeparatedNets(ms)
+    chain, ref = ContChain(ms), Reference(2, {(0, 1): F(1)}, [0, 1])
     for n in range(2, 4):
-        assert 0 in nets.level(n)
-        assert psi(ms, nets, n, 0, 0) == 0
-        assert psi(ms, nets, n, 1, 0) == F(1, 2 ** n)
+        assert 0 in chain.nets.level(n)
+        assert level_term(chain, n, 0, 0) == ref.psi(n, 0, 0) == 0
+        assert level_term(chain, n, 1, 0) == ref.psi(n, 1, 0) == F(1, 2 ** n)
 
 
 def test_psi_no_center_in_range():
-    ms = points_1d([F(0), F(10)])
-    nets = SeparatedNets(ms)
-    assert psi(ms, nets, 0, 1, 1) == 0            # only center 0, too far
-
-
-def test_psi_locality_fault_injection():
-    ms = points_1d([F(0), F(1, 8)])
-    nets = SeparatedNets(ms, levels=[[0, 1]])     # corrupt: both as centers
-    with pytest.raises(LocalityError):
-        psi(ms, nets, 0, 1, 0)
+    chain = ContChain(points_1d([F(0), F(10)]))
+    assert level_term(chain, 0, 1, 1) == 0        # only center 0, too far
 
 
 def test_psi_range_bound():
@@ -256,7 +279,7 @@ def test_psi_range_bound():
     for n in range(chain.stable_level + 1):
         for d in range(ms.n):
             for x in range(ms.n):
-                v = psi(ms, chain.nets, n, d, x)
+                v = level_term(chain, n, d, x)
                 assert 0 <= v <= F(1, 2 ** n)
 
 
@@ -338,7 +361,7 @@ def test_order_isomorphism_on_permutation():
 
 
 def test_chain_rejects_bad_metric():
-    bad = MetricSpace(2, {(0, 1): F(0)}, [0, 1])
+    bad = MetricSpace(2, {(0, 1): (0, 1)}, [0, 1])
     with pytest.raises(MetricAxiomError) as err:
         ContChain(bad)
     assert "identity" in str(err.value)
@@ -426,14 +449,13 @@ def test_kernel_matches_reference(dims, dens):
     rng = random.Random(53 + dims)
     for _ in range(3):
         n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
-        ms, ref = MetricSpace(n, dists, order), Reference(n, dists, order)
+        ms, ref = MetricSpace(n, as_pairs(dists), order), Reference(n, dists, order)
         if dens[0] > 2 ** 70:
             assert ms.scale * max(dists.values()) > 2 ** 70
         assert ms.validate() == ref.validate() == []
         chain = ContChain(ms)
         top = chain.stable_level
         assert top == ref.stable_level()
-        assert ms.min_distance() == min(dists.values())
         for level in range(top + 2):
             assert chain.nets.level(level) == ref.net(level)
             assert chain.nets.check_level(level) == []
@@ -445,8 +467,8 @@ def test_kernel_matches_reference(dims, dens):
                 assert table[d][x] == exact[0]
                 for N in {0, 1, top, top + 3}:
                     assert chain.eval(d, x, truncate=N) == ref.eval(d, x, N)
-                for level in range(top + 1):
-                    assert psi(ms, chain.nets, level, d, x) == ref.psi(level, d, x)
+                for level in range(top + 2):
+                    assert level_term(chain, level, d, x) == ref.psi(level, d, x)
 
 
 @pytest.mark.parametrize("dims, dens", KERNEL_SPACES)
@@ -462,14 +484,15 @@ def test_validate_matches_reference_on_broken_spaces(dims, dens):
         dists = {key: dists[key] for key in keys}     # file order is kept
         expected = Reference(n, dists, order).validate()
         assert expected
-        assert MetricSpace(n, dists, order).validate() == expected
+        assert MetricSpace(n, as_pairs(dists), order).validate() == expected
 
 
 def test_pair_failure_matches_reference():
     rng = random.Random(61)
     for dims, dens in [(1, (1, 2, 4, 8)), (2, (3, 7, 9))]:
         n, dists, order = space_inputs(rng, 10, dims, dens)
-        chain, ref = ContChain(MetricSpace(n, dists, order)), Reference(n, dists, order)
+        chain = ContChain(MetricSpace(n, as_pairs(dists), order))
+        ref = Reference(n, dists, order)
         for d in range(n):
             for e in range(n):
                 fd = [ref.eval(d, x)[0] for x in range(n)]
@@ -483,7 +506,8 @@ def test_truncated_eval_far_beyond_stable_level():
     # levels from the stable level on are summed in closed form
     rng = random.Random(67)
     n, dists, order = space_inputs(rng, 5, 1, (3, 7, 9))
-    chain, ref = ContChain(MetricSpace(n, dists, order)), Reference(n, dists, order)
+    chain = ContChain(MetricSpace(n, as_pairs(dists), order))
+    ref = Reference(n, dists, order)
     for d in range(n):
         for x in range(n):
             assert chain.eval(d, x, truncate=80) == ref.eval(d, x, 80)
@@ -522,7 +546,7 @@ def test_parse_space_roundtrip():
 
 
 def test_parse_space_symmetric_duplicates_ok():
-    ms = parse_space("points 2\ndist 0 1 3/2\ndist 1 0 3/2\norder 1 0\n")
+    ms = parse_space("points 2\ndist 0 1 3/2\ndist 1 0 -6/-4\norder 1 0\n")
     assert ms.dist(1, 0) == F(3, 2)
 
 
@@ -544,6 +568,72 @@ def test_parse_space_conflicting_orientations():
 def test_parse_space_rejects(bad):
     with pytest.raises(SpaceParseError):
         parse_space(bad)
+
+
+def test_parse_space_zero_denominator_text():
+    with pytest.raises(SpaceParseError) as err:
+        parse_space("points 2\ndist 0 1 1/0\norder 0 1\n")
+    assert str(err.value) == "line 2: distance 1/0 has denominator 0"
+
+
+def fraction_text(rng, v):
+    """v as p/q, now and then unreduced, with both signs flipped, or both."""
+    k = rng.choice([1, 1, 2, 3, 10]) * rng.choice([1, -1])
+    return f"{v.numerator * k}/{v.denominator * k}"
+
+
+def random_space_text(rng):
+    """A space file in shuffled line order: each pair written either way
+    round, some pairs twice with an equal value, and now and then a
+    distance made zero, negative or three times larger (which may break
+    the triangle rule), or one pair repeated with another value."""
+    n, dists, order = space_inputs(rng, rng.randint(2, 7), rng.choice([1, 2]),
+                                   rng.choice([(1, 2, 4, 8), (3, 7, 9)]))
+    if rng.random() < 0.4:
+        for key in rng.sample(list(dists), rng.randint(1, len(dists))):
+            dists[key] = rng.choice([F(0), -dists[key], dists[key] * 3])
+    lines = [f"points {n}", "order " + " ".join(map(str, order))]
+    for (i, j), v in dists.items():
+        for _ in range(rng.choice([1, 1, 1, 2])):
+            a, b = (i, j) if rng.random() < 0.5 else (j, i)
+            lines.append(f"dist {a} {b} {fraction_text(rng, v)}")
+    if rng.random() < 0.1:
+        (i, j), v = rng.choice(list(dists.items()))
+        lines.append(f"dist {j} {i} {fraction_text(rng, v + F(1, 3))}")
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_parsed_text_matches_reference():
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(80):
+        text = random_space_text(rng)
+        try:
+            ref = Reference.parse(text)
+        except MetricAxiomError as expected:
+            with pytest.raises(MetricAxiomError) as err:
+                parse_space(text)
+            assert str(err.value) == str(expected)
+            seen["symmetry"] += 1
+            continue
+        ms = parse_space(text)
+        bad = ref.validate()
+        assert ms.validate() == bad
+        seen.update(v.split()[0] for v in bad)
+        if bad:
+            continue
+        seen["valid"] += 1
+        chain = ContChain(ms)
+        top = chain.stable_level
+        assert top == ref.stable_level()
+        for d in range(ms.n):
+            for x in range(ms.n):
+                assert chain.eval(d, x) == ref.eval(d, x)
+                for N in range(top + 3):
+                    assert chain.eval(d, x, truncate=N) == ref.eval(d, x, N)
+    assert set(seen) == {"symmetry", "nonnegativity", "identity", "triangle",
+                         "valid"}, seen
 
 
 def test_format_eval():
