@@ -10,11 +10,11 @@ from .lazyset import (LazySet, ResourceLimitError, ap, diff, empty, inter,
                       pair, parse_set, piece, rows, union, unpair)
 from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding, Report,
                     SplitChain, base_cert, compose_certs, default_certificate,
-                    default_interval, parse_certificate, tree_child_certs,
-                    tree_node, tree_split, verify_certificate)
+                    default_interval, parse_certificate, tree_node,
+                    tree_split, verify_certificate)
 from .baire import (BaireFunction, ChainFamily, EmbeddingFamily,
                     ExplicitFamily, FSigmaWitness, IncomparableError,
-                    fsigma_witness, verify_chain_monotone)
+                    fsigma_witness)
 from .metric import (ContChain, MetricAxiomError, MetricSpace, SeparatedNets,
                      parse_space)
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
-                    verify_certificate)
+from .certs import InvalidCertificateError, OrderCertificate, verify_certificate
 from .lazyset import LazySet, escapes
 from .ordinal import Ordinal, compare, format_ordinal
 
@@ -178,25 +177,15 @@ def fsigma_witness(x: LazySet, y: LazySet,
     return FSigmaWitness(int(hits[-1]) + 1 if len(hits) else 0)
 
 
-def verify_chain_monotone(family: ChainFamily, pairs, depth: int,
-                          sample_points=None) -> ChainReport:
+def monotone_checks(family: ChainFamily, pairs, depth: int, sample_points):
     """Check pointwise monotonicity with strict witnesses over index pairs.
 
     For each pair i < j the pair certificate is probed to `depth`, the
     canonical strict witness f_j(x_i) = 1 > 0 = f_i(x_i) is evaluated, and
-    f_i <= f_j is confirmed on the sampled family points.  One report line
-    per pair, sorted deterministically by the given order.
-    """
-    report = ChainReport()
-    for check in monotone_checks(family, pairs, depth, sample_points or ()):
-        report.add(*check)
-    return report
-
-
-def monotone_checks(family: ChainFamily, pairs, depth: int, sample_points):
-    """verify_chain_monotone's checks as (label, reason) pairs, each yielded
-    as soon as its pair is checked, so a caller can print the line before
-    the next pair runs (or raises)."""
+    f_i <= f_j is confirmed on `sample_points`.  Yields one (label, reason)
+    check per pair, in the given order, as `ChainReport.add` takes it;
+    each is yielded as soon as its pair is checked, so a caller can print
+    the line before the next pair runs (or raises)."""
     points = list(sample_points)
     for raw_i, raw_j in pairs:
         try:

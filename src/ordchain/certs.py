@@ -186,7 +186,9 @@ class SplitChain:
     z_0 is lower-inter-upper (so exception bounds never grow), and
     z_{k+1} = z_k + piece k of the interval's surplus.  The pieces are
     pairwise disjoint infinite slices of upper \\ lower, which yields
-    certificates with infinite surplus at every step.
+    certificates with infinite surplus at every step.  The chain's levels
+    are x (level 0), z_1, z_2, ... and y (level None), and `cert` gives a
+    certificate between any two of them.
     """
 
     def __init__(self, cert: OrderCertificate, validate: bool = True):
@@ -194,43 +196,27 @@ class SplitChain:
             r = verify_certificate(cert, 4)
             if not r.ok:
                 raise InvalidCertificateError(f"invalid interval certificate: {r.message}")
-        self.cert = cert
         self.x = cert.lower
         self.y = cert.upper
         self.bound = cert.bound
         self.source = cert.surplus
         self._z: List[LazySet] = [inter(self.x, self.y)]
 
-    def slice_piece(self, k: int) -> LazySet:
-        return piece(self.source, k)
-
     def z(self, k: int) -> LazySet:
         while len(self._z) <= k:
             j = len(self._z) - 1
-            self._z.append(union(self._z[j], self.slice_piece(j)))
+            self._z.append(union(self._z[j], piece(self.source, j)))
         return self._z[k]
 
-    def cert_lower(self, k: int) -> OrderCertificate:
-        """lower-end certificate: x strictly below z_k (k >= 1)."""
-        if k < 1:
-            raise ValueError("k >= 1")
-        return OrderCertificate(self.x, self.z(k), self.bound, self.slice_piece(0))
-
-    def cert_between(self, a: int, b: int) -> OrderCertificate:
-        """z_a strictly below z_b for 1 <= a < b (z_a is a subset of z_b)."""
-        if not 1 <= a < b:
-            raise ValueError("need 1 <= a < b")
-        return OrderCertificate(self.z(a), self.z(b), 0, self.slice_piece(a))
-
-    def cert_slot(self, t: int) -> OrderCertificate:
-        """Slot t of the chain: (x, z_1) for t = 0, else (z_t, z_{t+1})."""
-        return self.cert_lower(1) if t == 0 else self.cert_between(t, t + 1)
-
-    def cert_upper(self, k: int) -> OrderCertificate:
-        """upper-end certificate: z_k strictly below y (k >= 1)."""
-        if k < 1:
-            raise ValueError("k >= 1")
-        return OrderCertificate(self.z(k), self.y, 0, self.slice_piece(k))
+    def cert(self, a: int, b: Optional[int] = None) -> OrderCertificate:
+        """Level a strictly below level b, 0 <= a < b: level 0 is x, level
+        k >= 1 is z_k and b=None is y.  The surplus is piece a, and only a
+        certificate out of x keeps the interval's bound."""
+        if a < 0 or (b is not None and b <= a):
+            raise ValueError("need 0 <= a < b")
+        return OrderCertificate(self.z(a) if a else self.x,
+                                self.y if b is None else self.z(b),
+                                0 if a else self.bound, piece(self.source, a))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ def tree_split(s: TreeAddress) -> SplitChain:
         raise ValueError("tree address entries must be naturals")
     chain = SplitChain(base_cert(s[0], s[0] + 1), validate=False)
     for a in s[1:]:
-        chain = SplitChain(chain.cert_slot(a), validate=False)
+        chain = SplitChain(chain.cert(a, a + 1), validate=False)
     return chain
 
 
@@ -257,14 +243,6 @@ def tree_node(s: TreeAddress) -> LazySet:
     """The set x_s: length-1 addresses are the base chain and x_{s~a} is
     the a-th split point of (x_s, x_{s+}), so x_{s~0} is x_s."""
     return tree_split(s).x
-
-
-def tree_child_certs(s: TreeAddress, a: int, b: int):
-    """Certificates for x_s < x_{s~a} < x_{s~b} < x_{s+} with 0 < a < b."""
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    chain = tree_split(s)
-    return chain.cert_lower(a), chain.cert_between(a, b), chain.cert_upper(b)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +280,8 @@ def _block_index(bound: Ordinal, alpha: Ordinal) -> int:
 
 class OrdinalEmbedding:
     """Order embedding of the notations below `bound` into a certified
-    interval, with derivable certificates for every comparable pair.
+    interval, with derivable certificates for every comparable pair and
+    for each notation against either end of the interval.
 
     The interval is split once into the chain x < z_1 < z_2 < ... < y and
     the notations below `bound` are distributed over consecutive slots,
@@ -325,7 +304,6 @@ class OrdinalEmbedding:
     def __init__(self, bound: Ordinal, interval: OrderCertificate,
                  validate: bool = True):
         self.bound = bound
-        self.interval = interval
         self._chain = SplitChain(interval, validate)
         # (start, sub-embedding or None for a single point) per slot reached
         self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
@@ -336,78 +314,46 @@ class OrdinalEmbedding:
             self._slot_end = functools.partial(_block_end, bound)
             self._slot_index = functools.partial(_block_index, bound)
 
-    # -- structure ---------------------------------------------------------
-
     def _locate(self, alpha: Ordinal
                 ) -> Tuple[int, Ordinal, Optional["OrdinalEmbedding"]]:
         """Slot index, offset within the slot, and the slot's sub-embedding
-        (None for a single-point slot)."""
+        (None for a single-point slot) of alpha < bound."""
+        if compare(alpha, self.bound) != -1:
+            raise KeyError(f"notation {alpha} is not below {self.bound}")
         t = self._slot_index(alpha)
         if t not in self._slots:
             start = self._slot_end(t - 1) if t else Ordinal()
             otype = left_subtract(start, self._slot_end(t))
             self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
-                otype, self._chain.cert_slot(t), validate=False))
+                otype, self._chain.cert(t, t + 1), validate=False))
         start, sub = self._slots[t]
         return t, left_subtract(start, alpha), sub
 
-    def _require_below(self, alpha: Ordinal) -> None:
-        if compare(alpha, self.bound) != -1:
-            raise KeyError(f"notation {alpha} is not below {self.bound}")
-
-    # -- queries -----------------------------------------------------------
-
     def member(self, alpha: Ordinal) -> LazySet:
-        self._require_below(alpha)
         t, off, sub = self._locate(alpha)
         if sub is None:
             return self._chain.z(t + 1)
         return sub.member(off)
 
-    def cert(self, alpha: Ordinal, beta: Ordinal) -> OrderCertificate:
-        """Certificate for e(alpha) strictly below e(beta), alpha < beta."""
-        if compare(alpha, beta) != -1:
+    def cert(self, alpha: Optional[Ordinal],
+             beta: Optional[Ordinal]) -> OrderCertificate:
+        """Certificate for e(alpha) strictly below e(beta), alpha < beta;
+        alpha=None is the interval's lower end and beta=None its upper end."""
+        if alpha is not None and beta is not None and compare(alpha, beta) != -1:
             raise ValueError("need alpha < beta")
-        self._require_below(beta)
-        ta, offa, suba = self._locate(alpha)
-        tb, offb, subb = self._locate(beta)
+        tb, offb, subb = (None, None, None) if beta is None else self._locate(beta)
+        ta, offa, suba = (-1, None, None) if alpha is None else self._locate(alpha)
         if ta == tb:
             return suba.cert(offa, offb)
-        # climb from e(alpha) up to z_{ta+1}, along the chain, into slot tb
-        legs: List[OrderCertificate] = []
-        if suba is not None:
-            legs.append(suba.upper_cert(offa))
-        exit_level = ta + 1
-        if subb is None:
-            legs.append(self._chain.cert_between(exit_level, tb + 1))
-        else:
-            if exit_level < tb:
-                legs.append(self._chain.cert_between(exit_level, tb))
-            legs.append(subb.lower_cert(offb))
-        out = legs[0]
-        for leg in legs[1:]:
-            out = compose_certs(out, leg)
-        return out
-
-    def lower_cert(self, alpha: Ordinal) -> OrderCertificate:
-        """Certificate for interval-lower strictly below e(alpha)."""
-        self._require_below(alpha)
-        t, off, sub = self._locate(alpha)
-        if sub is None:
-            return self._chain.cert_lower(t + 1)
-        inner = sub.lower_cert(off)
-        if t == 0:
-            return inner
-        return compose_certs(self._chain.cert_lower(t), inner)
-
-    def upper_cert(self, alpha: Ordinal) -> OrderCertificate:
-        """Certificate for e(alpha) strictly below interval-upper."""
-        self._require_below(alpha)
-        t, off, sub = self._locate(alpha)
-        if sub is None:
-            return self._chain.cert_upper(t + 1)
-        return compose_certs(sub.upper_cert(off),
-                             self._chain.cert_upper(t + 1))
+        # out of alpha's slot up to z_{ta+1}, along the chain, into beta's
+        # slot (a single-point slot t is z_{t+1} itself)
+        legs = [] if suba is None else [suba.cert(offa, None)]
+        top = tb if subb is not None else (None if beta is None else tb + 1)
+        if ta + 1 != top:
+            legs.append(self._chain.cert(ta + 1, top))
+        if subb is not None:
+            legs.append(subb.cert(None, offb))
+        return functools.reduce(compose_certs, legs)
 
 
 def default_interval() -> OrderCertificate:

@@ -164,9 +164,9 @@ def cmd_split(args) -> int:
     chain = SplitChain(_interval_cert(args.interval, args.bound))
     for k in range(1, args.count + 1):
         print(f"Z {k} {chain.z(k).expr}")
-    checks = [("x" if k == 0 else f"z{k}", f"z{k + 1}", chain.cert_slot(k))
+    checks = [("x" if k == 0 else f"z{k}", f"z{k + 1}", chain.cert(k, k + 1))
               for k in range(args.count)]
-    checks.append((f"z{args.count}", "y", chain.cert_upper(args.count)))
+    checks.append((f"z{args.count}", "y", chain.cert(args.count)))
     return _report((f"PAIR {lo} {hi}", _probe(c, args.depth))
                    for lo, hi, c in checks)
 
@@ -177,12 +177,12 @@ def cmd_tree(args) -> int:
 
     # a generator, so EXTEND0 is out before a child certificate can raise
     def checks():
-        extends = chain.cert_slot(0).lower is chain.x
+        extends = chain.cert(0, 1).lower is chain.x
         yield "EXTEND0", None if extends else ""
         a, b = args.a, args.b
-        for lo, hi, c in [("s", f"s~{a}", chain.cert_lower(a)),
-                          (f"s~{a}", f"s~{b}", chain.cert_between(a, b)),
-                          (f"s~{b}", "s+", chain.cert_upper(b))]:
+        for lo, hi, c in [("s", f"s~{a}", chain.cert(0, a)),
+                          (f"s~{a}", f"s~{b}", chain.cert(a, b)),
+                          (f"s~{b}", "s+", chain.cert(b))]:
             yield f"PAIR {lo} {hi}", _probe(c, args.depth)
 
     return _report(checks())

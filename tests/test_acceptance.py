@@ -15,10 +15,10 @@ from fractions import Fraction
 import pytest
 
 from ordchain.baire import (EmbeddingFamily, FSigmaWitness, fsigma_witness,
-                            verify_chain_monotone)
-from ordchain.certs import (OrdinalEmbedding, SplitChain, base_cert,
-                            compose_certs, default_certificate,
-                            default_interval, tree_child_certs, tree_node,
+                            monotone_checks)
+from ordchain.certs import (ChainReport, OrdinalEmbedding, SplitChain,
+                            base_cert, compose_certs, default_certificate,
+                            default_interval, tree_node, tree_split,
                             verify_certificate)
 from ordchain.lazyset import ap, diff
 from ordchain.metric import ContChain, LocalityError, MetricSpace
@@ -151,7 +151,8 @@ def test_criterion_5_tree_discipline(announce):
         b = rng.randint(a + 1, 5)
         if tree_node(s + (0,)).expr != tree_node(s).expr:
             bad += 1
-        for cert in tree_child_certs(s, a, b):
+        chain = tree_split(s)
+        for cert in (chain.cert(0, a), chain.cert(a, b), chain.cert(b)):
             if not verify_certificate(cert, 32).ok:
                 bad += 1
     announce(5, bad == 0, f"50 tree addresses: zero-extension identity and "
@@ -165,8 +166,9 @@ def test_criterion_6_baire_chain(announce):
     pairs = sample_comparable_pairs(xi, 100, rng)
     indices = sorted({a for p in pairs for a in p})
     family = EmbeddingFamily(emb, indices)
-    report = verify_chain_monotone(family, pairs, depth=32,
-                                   sample_points=indices[:6])
+    report = ChainReport()
+    for check in monotone_checks(family, pairs, 32, indices[:6]):
+        report.add(*check)
     witness_bad = 0
     for a, b in pairs[:40]:
         x, y = family.member(b), family.member(a)
@@ -191,15 +193,16 @@ def test_criterion_7_oracle_equivalence(announce):
             certs.append(base_cert(n, m))
     chain = SplitChain(default_certificate(ap(4, 0), ap(2, 0), 0))
     for k in range(1, 11):
-        certs.append(chain.cert_lower(k))
-        certs.append(chain.cert_upper(k))
+        certs.append(chain.cert(0, k))
+        certs.append(chain.cert(k))
         for j in range(k + 1, 11):
-            certs.append(chain.cert_between(k, j))
+            certs.append(chain.cert(k, j))
     rng = random.Random(107)
     for _ in range(40):
         s = tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 2)))
         a = rng.randint(1, 3)
-        certs.extend(tree_child_certs(s, a, a + 1))
+        tree = tree_split(s)
+        certs.extend([tree.cert(0, a), tree.cert(a, a + 1), tree.cert(a + 1)])
     for text in ["w^(2)", "w^(2)+w*3+5"]:
         xi = parse_ordinal(text)
         emb = OrdinalEmbedding(xi, default_interval())
@@ -210,8 +213,7 @@ def test_criterion_7_oracle_equivalence(announce):
         a = rng.randint(1, 4)
         b = rng.randint(a + 1, 6)
         c = rng.randint(b + 1, 8)
-        certs.append(compose_certs(base.cert_between(a, b),
-                                   base.cert_between(b, c)))
+        certs.append(compose_certs(base.cert(a, b), base.cert(b, c)))
     certs = certs[:500]
     assert len(certs) == 500
     bad = 0

@@ -8,10 +8,10 @@ import pytest
 from ordchain.baire import (BaireFunction, EmbeddingFamily, ExplicitFamily,
                             FSigmaWitness, IncomparableError,
                             UnknownIndexError, fsigma_witness,
-                            verify_chain_monotone)
-from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            OrdinalEmbedding, default_certificate,
-                            default_interval)
+                            monotone_checks)
+from ordchain.certs import (ChainReport, InvalidCertificateError,
+                            OrderCertificate, OrdinalEmbedding,
+                            default_certificate, default_interval)
 from ordchain.lazyset import ap, diff, inter, union
 from ordchain.ordinal import Ordinal, parse_ordinal
 from ordchain.sampling import sample_comparable_pairs
@@ -217,12 +217,18 @@ def test_fsigma_rejects_mismatched_certificate():
 # ---------------------------------------------------------------------------
 # Chain verification.
 
+def report_of(checks):
+    report = ChainReport()
+    for check in checks:
+        report.add(*check)
+    return report
+
+
 def test_chain_report_on_embedding():
     family, idx = omega_family()
     rng = random.Random(5)
     pairs = [tuple(rng.sample(idx, 2)) for _ in range(20)]
-    report = verify_chain_monotone(family, pairs, depth=16,
-                                   sample_points=idx[:4])
+    report = report_of(monotone_checks(family, pairs, 16, idx[:4]))
     assert report.ok, report.text
     assert report.checked == 20 and report.failed == 0
     assert report.text.endswith("CHECKED 20 FAILED 0")
@@ -231,14 +237,14 @@ def test_chain_report_on_embedding():
 
 def test_chain_rejects_equal_pair():
     family, idx = omega_family()
-    report = verify_chain_monotone(family, [(idx[2], idx[2])], depth=8)
+    report = report_of(monotone_checks(family, [(idx[2], idx[2])], 8, ()))
     assert report.failed == 1
     assert "not strictly comparable" in report.lines[0]
 
 
 def test_chain_normalizes_pair_order():
     family, idx = omega_family()
-    report = verify_chain_monotone(family, [(idx[5], idx[1])], depth=8)
+    report = report_of(monotone_checks(family, [(idx[5], idx[1])], 8, ()))
     assert report.ok
     assert report.lines[0] == "PAIR 1 5 OK"
 
@@ -251,7 +257,7 @@ def test_chain_flags_corrupted_certificate():
         (0, 2): default_certificate(MULT4, NATS, 0),
     }
     family = ExplicitFamily(members, certs)
-    report = verify_chain_monotone(family, [(0, 1), (1, 2), (0, 2)], depth=4)
+    report = report_of(monotone_checks(family, [(0, 1), (1, 2), (0, 2)], 4, ()))
     assert report.failed == 1
     assert report.lines[0] == "PAIR 0 1 OK"
     assert report.lines[1].startswith("PAIR 1 2 FAIL")
@@ -262,20 +268,20 @@ def test_chain_flags_wrong_endpoints():
     members = [MULT4, EVENS]
     certs = {(0, 1): default_certificate(EVENS, NATS, 0)}
     family = ExplicitFamily(members, certs)
-    report = verify_chain_monotone(family, [(0, 1)], depth=4)
+    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
     assert report.failed == 1 and "lower end" in report.lines[0]
 
 
 def test_chain_flags_missing_certificate():
     family = ExplicitFamily([MULT4, EVENS], {})
-    report = verify_chain_monotone(family, [(0, 1)], depth=4)
+    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
     assert report.failed == 1
 
 
 def test_chain_monotone_on_sample_points():
     family, idx = omega_family(6)
     pairs = [(idx[i], idx[j]) for i in range(6) for j in range(i + 1, 6)]
-    report = verify_chain_monotone(family, pairs, depth=16, sample_points=idx)
+    report = report_of(monotone_checks(family, pairs, 16, idx))
     assert report.ok, report.text
     # direct statement: f_i <= f_j pointwise, strict at x_i
     for i, j in [(0, 3), (2, 5)]:

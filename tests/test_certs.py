@@ -13,11 +13,12 @@ from ordchain.certs import (InvalidCertificateError, OrderCertificate,
                             OrdinalEmbedding, Report, SplitChain, _block_end,
                             _block_index, base_cert, compose_certs,
                             default_certificate, default_interval,
-                            parse_certificate, tree_child_certs, tree_node,
-                            tree_split, verify_certificate)
+                            parse_certificate, tree_node, tree_split,
+                            verify_certificate)
 from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
                               empty, inter, parse_set, piece, rows, union)
-from ordchain.ordinal import ONE, Ordinal, add, compare, parse_ordinal
+from ordchain.ordinal import (ONE, Ordinal, add, compare, left_subtract,
+                              parse_ordinal)
 from ordchain.sampling import sample_below, sample_comparable_pairs
 
 NATS = ap(1, 0)
@@ -28,6 +29,12 @@ MULT4 = ap(4, 0)
 def assert_valid(cert, depth=32):
     r = verify_certificate(cert, depth)
     assert r.ok, r.message
+
+
+def child_certs(s, a, b):
+    """Certificates for x_s < x_{s~a} < x_{s~b} < x_{s+}, 0 < a < b."""
+    chain = tree_split(s)
+    return [chain.cert(0, a), chain.cert(a, b), chain.cert(b)]
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +143,9 @@ def oracle_corpus():
                   # only 1 lies in lower outside upper: bound 2
                   SplitChain(default_certificate(
                       union(diff(NATS, ap(1, 3)), MULT4), EVENS, 2))):
-        certs += [chain.cert_lower(1), chain.cert_lower(3),
-                  chain.cert_between(1, 4), chain.cert_slot(2),
-                  chain.cert_upper(3)]
-    certs += tree_child_certs((1, 2), 1, 3) + tree_child_certs((2,), 2, 3)
+        certs += [chain.cert(0, 1), chain.cert(0, 3), chain.cert(1, 4),
+                  chain.cert(2, 3), chain.cert(3)]
+    certs += child_certs((1, 2), 1, 3) + child_certs((2,), 2, 3)
     rng = random.Random(51)
     for interval in (default_interval(),
                      default_certificate(union(MULT4, singleton(5)),
@@ -147,7 +153,7 @@ def oracle_corpus():
         emb = OrdinalEmbedding(parse_ordinal("w^(2)+w*3+5"), interval)
         certs += [emb.cert(a, b) for a, b in
                   sample_comparable_pairs(parse_ordinal("w^(2)+w*3+5"), 8, rng)]
-        certs.append(emb.upper_cert(parse_ordinal("w*2")))
+        certs.append(emb.cert(parse_ordinal("w*2"), None))
     evens_from_2 = inter(EVENS, ap(1, 1))
     certs += [
         default_certificate(MULT4, evens_from_2, 0),            # FAIL element 0
@@ -311,7 +317,7 @@ def test_compose_random_chains_valid():
         a = rng.randint(1, 4)
         b = rng.randint(a + 1, 6)
         c = rng.randint(b + 1, 8)
-        comp = compose_certs(chain.cert_between(a, b), chain.cert_between(b, c))
+        comp = compose_certs(chain.cert(a, b), chain.cert(b, c))
         assert_valid(comp, depth=16)
 
 
@@ -358,10 +364,10 @@ def test_split_example_multiples_of_four():
     cert = default_certificate(MULT4, EVENS, 0)
     chain = SplitChain(cert)
     # surplus 2,6,10,...; row-0 ranks give 2,10,18,...
-    assert chain.slice_piece(0).first_n(3) == [2, 10, 18]
+    assert chain.cert(0, 1).surplus.first_n(3) == [2, 10, 18]
     z1 = chain.z(1)
-    assert z1.expr == union(inter(MULT4, EVENS), chain.slice_piece(0)).expr
-    assert_valid(chain.cert_lower(1), depth=16)
+    assert z1.expr == union(inter(MULT4, EVENS), piece(cert.surplus, 0)).expr
+    assert_valid(chain.cert(0, 1), depth=16)
 
 
 def test_split_chain_structure():
@@ -377,12 +383,12 @@ def test_split_chain_structure():
 
 def test_split_certs_all_valid():
     chain = SplitChain(base_cert(0, 1))
-    assert_valid(chain.cert_lower(1))
-    assert_valid(chain.cert_lower(3))
+    assert_valid(chain.cert(0, 1))
+    assert_valid(chain.cert(0, 3))
     for k in range(1, 5):
-        assert_valid(chain.cert_slot(k))
-        assert_valid(chain.cert_upper(k))
-    assert_valid(chain.cert_between(1, 4))
+        assert_valid(chain.cert(k, k + 1))
+        assert_valid(chain.cert(k))
+    assert_valid(chain.cert(1, 4))
 
 
 def test_split_keeps_exception_bound():
@@ -390,9 +396,9 @@ def test_split_keeps_exception_bound():
     lower = union(diff(NATS, ap(1, 3)), MULT4)
     cert = default_certificate(lower, EVENS, 2)
     chain = SplitChain(cert)
-    assert chain.cert_lower(1).bound == 2
-    assert chain.cert_slot(1).bound == 0
-    assert_valid(chain.cert_lower(2))
+    assert chain.cert(0, 1).bound == 2
+    assert chain.cert(1, 2).bound == 0
+    assert_valid(chain.cert(0, 2))
 
 
 def test_split_rejects_invalid_interval():
@@ -405,12 +411,20 @@ def test_split_rejects_invalid_interval():
 
 def test_split_chain_index_contracts():
     chain = SplitChain(base_cert(0, 1))
-    with pytest.raises(ValueError):
-        chain.cert_lower(0)
-    with pytest.raises(ValueError):
-        chain.cert_between(2, 2)
-    with pytest.raises(ValueError):
-        chain.cert_upper(0)
+    for a, b in [(-1, 2), (2, 2), (3, 1), (-1, None)]:
+        with pytest.raises(ValueError):
+            chain.cert(a, b)
+    assert_valid(chain.cert(0))
+    # x below y, straight from the interval: its bound and piece 0
+    interval = default_certificate(ap(6, 1), ap(3, 1), 3)
+    whole = SplitChain(interval).cert(0)
+    assert whole.lower is interval.lower and whole.upper is interval.upper
+    assert whole.bound == 3 and whole.surplus is piece(interval.surplus, 0)
+    assert_valid(whole)
+    ends = OrdinalEmbedding(parse_ordinal("w*2"), interval).cert(None, None)
+    assert ends.lower is interval.lower and ends.upper is interval.upper
+    assert ends.bound == 3
+    assert_valid(ends)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +437,7 @@ def reference_tree_node(s):
     def interval(t):
         if len(t) == 1:
             return base_cert(t[0], t[0] + 1)
-        return SplitChain(interval(t[:-1]), validate=False).cert_slot(t[-1])
+        return SplitChain(interval(t[:-1]), validate=False).cert(t[-1], t[-1] + 1)
 
     s = tuple(s)
     while len(s) > 1 and s[-1] == 0:
@@ -450,11 +464,11 @@ def test_tree_node_matches_reference():
 
 def test_tree_base_level():
     assert tree_node((2,)) is rows(2)
-    assert_valid(tree_split((2,)).cert)
+    assert_valid(tree_split((2,)).cert(0))
 
 
 def test_tree_three_way_example():
-    lo, mid, hi = tree_child_certs((1,), 2, 3)
+    lo, mid, hi = child_certs((1,), 2, 3)
     assert lo.lower is tree_node((1,))
     assert lo.upper.expr == tree_node((1, 2)).expr
     assert mid.upper.expr == tree_node((1, 3)).expr
@@ -467,7 +481,7 @@ def test_tree_nodes_are_found_again_without_a_memo():
     assert not hasattr(certs, "_tree_splits")
     for s in [(0,), (2,), (1, 2), (0, 1, 3), (2, 0, 1)]:
         assert tree_node(s) is tree_node(s)
-        lo, mid, hi = tree_child_certs(s, 1, 3)
+        lo, mid, hi = child_certs(s, 1, 3)
         plus = s[:-1] + (s[-1] + 1,)
         assert lo.lower is tree_node(s) and lo.upper is tree_node(s + (1,))
         assert mid.lower is tree_node(s + (1,)) and mid.upper is tree_node(s + (3,))
@@ -486,9 +500,9 @@ def test_tree_address_validation():
         with pytest.raises(ValueError):
             tree_node(bad)
     with pytest.raises(ValueError):
-        tree_child_certs((1,), 2, 2)
+        tree_split((1,)).cert(2, 2)
     with pytest.raises(ValueError):
-        tree_child_certs((1,), 0, 2)
+        tree_split((1,)).cert(0, 0)
 
 
 def test_tree_discipline_random():
@@ -498,7 +512,7 @@ def test_tree_discipline_random():
         a = rng.randint(1, 2)
         b = rng.randint(a + 1, 4)
         assert tree_node(s + (0,)).expr == tree_node(s).expr
-        for c in tree_child_certs(s, a, b):
+        for c in child_certs(s, a, b):
             assert_valid(c, depth=16)
 
 
@@ -617,8 +631,8 @@ def test_embed_interval_endpoints_certified():
     emb = OrdinalEmbedding(parse_ordinal("w^(2)"), default_interval())
     for text in ["0", "5", "w", "w*2+3"]:
         a = parse_ordinal(text)
-        lo = emb.lower_cert(a)
-        hi = emb.upper_cert(a)
+        lo = emb.cert(None, a)
+        hi = emb.cert(a, None)
         assert lo.lower is rows(0) and lo.upper.expr == emb.member(a).expr
         assert hi.lower.expr == emb.member(a).expr and hi.upper is rows(1)
         assert_valid(lo)
@@ -647,8 +661,103 @@ def test_embed_into_nontrivial_interval():
     emb = OrdinalEmbedding(parse_ordinal("w*2"), cert)
     a, b = parse_ordinal("3"), parse_ordinal("w+1")
     assert_valid(emb.cert(a, b))
-    assert_valid(emb.lower_cert(b))
-    assert_valid(emb.upper_cert(b))
+    assert_valid(emb.cert(None, b))
+    assert_valid(emb.cert(b, None))
+
+
+class ReferenceEmbedding:
+    """Certificates as derived before each chain had one `cert` query: the
+    four SplitChain formulas (lower end, between, slot, upper end) and the
+    separate pair, lower-end and upper-end compositions, an oracle for
+    SplitChain.cert and OrdinalEmbedding.cert.  Slots are read off the
+    terms by a library embedding of the same bound."""
+
+    def __init__(self, bound, interval):
+        self.slots = OrdinalEmbedding(bound, interval, validate=False)
+        self.chain = SplitChain(interval, validate=False)
+        self.subs = {}
+
+    def lower_end(self, k):
+        c = self.chain
+        return OrderCertificate(c.x, c.z(k), c.bound, piece(c.source, 0))
+
+    def between(self, a, b):
+        c = self.chain
+        return OrderCertificate(c.z(a), c.z(b), 0, piece(c.source, a))
+
+    def slot(self, t):
+        return self.lower_end(1) if t == 0 else self.between(t, t + 1)
+
+    def upper_end(self, k):
+        c = self.chain
+        return OrderCertificate(c.z(k), c.y, 0, piece(c.source, k))
+
+    def locate(self, alpha):
+        t = self.slots._slot_index(alpha)
+        start = self.slots._slot_end(t - 1) if t else Ordinal()
+        if t not in self.subs:
+            otype = left_subtract(start, self.slots._slot_end(t))
+            self.subs[t] = None if otype == ONE else ReferenceEmbedding(
+                otype, self.slot(t))
+        return t, left_subtract(start, alpha), self.subs[t]
+
+    def cert(self, alpha, beta):
+        ta, offa, suba = self.locate(alpha)
+        tb, offb, subb = self.locate(beta)
+        if ta == tb:
+            return suba.cert(offa, offb)
+        legs = [] if suba is None else [suba.above(offa)]
+        if subb is None:
+            legs.append(self.between(ta + 1, tb + 1))
+        else:
+            if ta + 1 < tb:
+                legs.append(self.between(ta + 1, tb))
+            legs.append(subb.below(offb))
+        out = legs[0]
+        for leg in legs[1:]:
+            out = compose_certs(out, leg)
+        return out
+
+    def below(self, alpha):
+        t, off, sub = self.locate(alpha)
+        if sub is None:
+            return self.lower_end(t + 1)
+        inner = sub.below(off)
+        return inner if t == 0 else compose_certs(self.lower_end(t), inner)
+
+    def above(self, alpha):
+        t, off, sub = self.locate(alpha)
+        if sub is None:
+            return self.upper_end(t + 1)
+        return compose_certs(sub.above(off), self.upper_end(t + 1))
+
+
+def same_certificate(c, ref):
+    return (c.lower is ref.lower and c.upper is ref.upper
+            and c.bound == ref.bound and c.surplus is ref.surplus)
+
+
+@pytest.mark.parametrize("interval", [
+    default_interval(),
+    default_certificate(MULT4, EVENS, 0),
+    default_certificate(ap(6, 1), ap(3, 1), 3),
+], ids=["rows", "mult4-evens", "bound3"])
+def test_cert_queries_match_reference(interval):
+    chain, ref = SplitChain(interval), ReferenceEmbedding(ONE, interval)
+    for k in range(1, 6):
+        assert same_certificate(chain.cert(0, k), ref.lower_end(k))
+        assert same_certificate(chain.cert(k), ref.upper_end(k))
+        assert same_certificate(chain.cert(k - 1, k), ref.slot(k - 1))
+        for j in range(k + 1, 7):
+            assert same_certificate(chain.cert(k, j), ref.between(k, j))
+    for text in ["w", "w*2", "w^(2)", "w^(2)+w*3+5", "w^(w)", "w^(w^(w))",
+                 "12"]:
+        xi = parse_ordinal(text)
+        emb, ref = OrdinalEmbedding(xi, interval), ReferenceEmbedding(xi, interval)
+        for a, b in sample_comparable_pairs(xi, 60, random.Random(61)):
+            assert same_certificate(emb.cert(a, b), ref.cert(a, b)), (text, a, b)
+            assert same_certificate(emb.cert(None, a), ref.below(a))
+            assert same_certificate(emb.cert(b, None), ref.above(b))
 
 
 def test_default_interval():
