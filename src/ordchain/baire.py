@@ -1,56 +1,30 @@
 """Indicator functions of lower cones in a certified mod-finite chain.
 
-For a chain family {x_i} the function f_x sends y to 1 exactly when y sits
-strictly below x in the chain.  Calling f_x reads the value off the
-family's order; `evaluate` also derives, on demand, the certificate behind
-it, which the ChainFamily contract guarantees for every comparable pair
-(none when y is x itself, by irreflexivity).  Asking about an index the
-family cannot compare is an error, never a silent 0.  The sections below
-x are countable unions of sets cut out by "indicators eventually
+For a chain family {x_i}, here an `EmbeddingFamily` (an ordinal embedding
+read at a finite sample of ordinals), f_x sends y to 1 exactly when y sits
+strictly below x.  Calling f_x reads the value off the order; `evaluate`
+also derives, on demand, the certificate behind it, which the embedding
+gives for every ordered pair (none when y is x itself, by irreflexivity).
+An index outside the sample is an error, never a silent 0.  The sections
+below x are countable unions of sets cut out by "indicators eventually
 dominated", which is what FSigmaWitness records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .certs import InvalidCertificateError, OrderCertificate, verify_certificate
 from .lazyset import LazySet, escapes
 from .ordinal import Ordinal, compare, format_ordinal
 
 
-class UnknownIndexError(KeyError):
+class UnknownIndexError(LookupError):
     pass
 
 
-class IncomparableError(ValueError):
-    """The family cannot order the two indices; no value is invented."""
-
-
-class ChainFamily:
-    """Interface: an index set with a strict order, lazily materialized
-    members, and a certificate for every comparable pair."""
-
-    def has_index(self, i) -> bool:
-        raise NotImplementedError
-
-    def label(self, i) -> str:
-        raise NotImplementedError
-
-    def order(self, i, j) -> int:
-        """-1, 0 or 1; raises IncomparableError."""
-        raise NotImplementedError
-
-    def member(self, i) -> LazySet:
-        raise NotImplementedError
-
-    def cert(self, i, j) -> OrderCertificate:
-        """Certificate for member(i) strictly below member(j); needs i < j."""
-        raise NotImplementedError
-
-
-class EmbeddingFamily(ChainFamily):
+class EmbeddingFamily:
     """Chain family read off an ordinal embedding at a finite index sample."""
 
     def __init__(self, embedding, index_sample: Sequence[Ordinal]):
@@ -77,37 +51,6 @@ class EmbeddingFamily(ChainFamily):
         return self.embedding.cert(i, j)
 
 
-class ExplicitFamily(ChainFamily):
-    """Finite chain given outright; the order is list position.  Handy for
-    snapshots and for fault injection in tests."""
-
-    def __init__(self, members: Sequence[LazySet],
-                 certs: Dict[Tuple[int, int], OrderCertificate]):
-        self.members = list(members)
-        self.certs = dict(certs)
-
-    def has_index(self, i) -> bool:
-        return isinstance(i, int) and 0 <= i < len(self.members)
-
-    def label(self, i) -> str:
-        return str(i)
-
-    def order(self, i, j) -> int:
-        if not (self.has_index(i) and self.has_index(j)):
-            raise UnknownIndexError(f"pair ({i}, {j}) not in family")
-        return (i > j) - (i < j)
-
-    def member(self, i) -> LazySet:
-        if not self.has_index(i):
-            raise UnknownIndexError(f"index {i} not in family")
-        return self.members[i]
-
-    def cert(self, i, j) -> OrderCertificate:
-        if (i, j) not in self.certs:
-            raise UnknownIndexError(f"no certificate for pair ({i}, {j})")
-        return self.certs[(i, j)]
-
-
 @dataclass(frozen=True)
 class Justification:
     """Why an evaluation returned what it did."""
@@ -119,7 +62,7 @@ class Justification:
 class BaireFunction:
     """Indicator of the strict lower cone of `pivot` within the family."""
 
-    def __init__(self, family: ChainFamily, pivot):
+    def __init__(self, family, pivot):
         if not family.has_index(pivot):
             raise UnknownIndexError(f"pivot {pivot} not in family")
         self.family = family
@@ -177,7 +120,7 @@ def fsigma_witness(x: LazySet, y: LazySet,
     return FSigmaWitness(int(hits[-1]) + 1 if len(hits) else 0)
 
 
-def monotone_checks(family: ChainFamily, pairs, depth: int, sample_points):
+def monotone_checks(family, pairs, depth: int, sample_points):
     """Check pointwise monotonicity with strict witnesses over index pairs.
 
     For each pair i < j the pair certificate is probed to `depth`, the
@@ -185,14 +128,14 @@ def monotone_checks(family: ChainFamily, pairs, depth: int, sample_points):
     f_i <= f_j is confirmed on `sample_points`.  Yields one (label, reason)
     check per pair, in the given order, as `ChainReport.add` takes it;
     each is yielded as soon as its pair is checked, so a caller can print
-    the line before the next pair runs (or raises)."""
+    the line before the next pair runs (or raises).
+
+    `family` needs what this and `BaireFunction` use of `EmbeddingFamily`:
+    `has_index`, `label`, `member`, `order(i, j)` giving -1, 0 or 1 without
+    raising, and `cert(i, j)`, whose `UnknownIndexError` is a FAIL reason."""
     points = list(sample_points)
     for raw_i, raw_j in pairs:
-        try:
-            c = family.order(raw_i, raw_j)
-        except (IncomparableError, UnknownIndexError) as exc:
-            yield f"PAIR {raw_i} {raw_j}", str(exc)
-            continue
+        c = family.order(raw_i, raw_j)
         i, j = (raw_i, raw_j) if c <= 0 else (raw_j, raw_i)
         reason = "not strictly comparable" if c == 0 else \
             _check_pair(family, i, j, depth, points)

@@ -5,8 +5,7 @@ import random
 
 import pytest
 
-from ordchain.baire import (BaireFunction, EmbeddingFamily, ExplicitFamily,
-                            FSigmaWitness, IncomparableError,
+from ordchain.baire import (BaireFunction, EmbeddingFamily, FSigmaWitness,
                             UnknownIndexError, fsigma_witness,
                             monotone_checks)
 from ordchain.certs import (ChainReport, InvalidCertificateError,
@@ -35,6 +34,35 @@ def sampled_family(text, count, seed):
     indices = sorted({a for p in pairs for a in p})
     return EmbeddingFamily(OrdinalEmbedding(xi, default_interval()),
                            indices), indices
+
+
+class ExplicitFamily:
+    """Test double: a finite chain given outright, ordered by list position,
+    with only the certificates it is handed.  It has the methods
+    `monotone_checks` and `BaireFunction` use of a family."""
+
+    def __init__(self, members, certs):
+        self.members = list(members)
+        self.certs = dict(certs)
+
+    def has_index(self, i):
+        return isinstance(i, int) and 0 <= i < len(self.members)
+
+    def label(self, i):
+        return str(i)
+
+    def order(self, i, j):
+        return (i > j) - (i < j)
+
+    def member(self, i):
+        if not self.has_index(i):
+            raise UnknownIndexError(f"index {i} not in family")
+        return self.members[i]
+
+    def cert(self, i, j):
+        if (i, j) not in self.certs:
+            raise UnknownIndexError(f"no certificate for pair ({i}, {j})")
+        return self.certs[(i, j)]
 
 
 def chain_of_three():
@@ -118,6 +146,10 @@ def test_call_derives_no_certificate():
     for p in range(3):
         f = BaireFunction(family, p)
         assert [f(y) for y in range(3)] == [int(y < p) for y in range(3)]
+
+
+class IncomparableError(ValueError):
+    """Raised by IncomparableFamily.order on the pair it cannot order."""
 
 
 class IncomparableFamily(ExplicitFamily):
@@ -289,3 +321,47 @@ def test_chain_monotone_on_sample_points():
         fj = BaireFunction(family, idx[j])
         assert all(fi(p) <= fj(p) for p in idx)
         assert fi(idx[i]) == 0 and fj(idx[i]) == 1
+
+
+def test_chain_reports_unknown_index_unquoted():
+    family, idx = omega_family(4)
+    pair = (Ordinal.from_int(1), Ordinal.from_int(9))
+    report = report_of(monotone_checks(family, [pair], 8, idx))
+    assert report.lines == ["PAIR 1 9 FAIL pair (1, 9) not in family"]
+
+
+def test_chain_flags_wrong_upper_end():
+    certs = {(0, 1): default_certificate(MULT4, NATS, 0)}
+    family = ExplicitFamily([MULT4, EVENS], certs)
+    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    assert report.lines == ["PAIR 0 1 FAIL certificate upper end is not x_j"]
+
+
+class ReflexiveFamily(ExplicitFamily):
+    """Puts every index strictly below itself."""
+
+    def order(self, i, j):
+        return -1 if i == j else super().order(i, j)
+
+
+def test_chain_flags_missing_strict_witness():
+    certs = {(0, 1): default_certificate(MULT4, EVENS, 0)}
+    family = ReflexiveFamily([MULT4, EVENS], certs)
+    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    assert report.lines == ["PAIR 0 1 FAIL strict witness at x_i missing"]
+
+
+class CyclicFamily(ExplicitFamily):
+    """0 < 1 < 2 as listed, but 2 < 0: an intransitive order."""
+
+    def order(self, i, j):
+        if {i, j} == {0, 2}:
+            return -1 if i == 2 else 1
+        return super().order(i, j)
+
+
+def test_chain_flags_intransitive_order():
+    certs = {(0, 1): default_certificate(MULT4, EVENS, 0)}
+    family = CyclicFamily([MULT4, EVENS, NATS], certs)
+    report = report_of(monotone_checks(family, [(0, 1)], 4, [0, 1, 2]))
+    assert report.lines == ["PAIR 0 1 FAIL monotonicity fails at point 2"]
