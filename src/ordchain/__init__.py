@@ -8,7 +8,7 @@ from .ordinal import (Ordinal, ZERO, ONE, OMEGA,
                       format_ordinal)
 from .lazyset import (LazySet, ResourceLimitError, ap, diff, empty, inter,
                       pair, parse_set, piece, rows, union, unpair)
-from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding, Report,
+from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding,
                     SplitChain, base_cert, compose_certs, default_certificate,
                     default_interval, parse_certificate, tree_node,
                     tree_split, verify_certificate)

@@ -25,9 +25,13 @@ class UnknownIndexError(LookupError):
 
 
 class EmbeddingFamily:
-    """Chain family read off an ordinal embedding at a finite index sample."""
+    """Chain family read off an ordinal embedding at a finite index sample,
+    each index below the embedding's bound."""
 
     def __init__(self, embedding, index_sample: Sequence[Ordinal]):
+        for i in index_sample:
+            if compare(i, embedding.bound) != -1:
+                raise ValueError(f"index {i} is not below the bound {embedding.bound}")
         self.embedding = embedding
         self._known = set(index_sample)
 
@@ -151,9 +155,9 @@ def _check_pair(family, i, j, depth, points) -> Optional[str]:
         return "certificate lower end is not x_i"
     if cert.upper is not family.member(j):
         return "certificate upper end is not x_j"
-    r = verify_certificate(cert, depth)
-    if not r.ok:
-        return f"certificate: {r.message}"
+    reason = verify_certificate(cert, depth)
+    if reason is not None:
+        return f"certificate: {reason}"
     fi = BaireFunction(family, i)
     fj = BaireFunction(family, j)
     if not (fi(i) == 0 and fj(i) == 1):

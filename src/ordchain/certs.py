@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
@@ -79,17 +79,9 @@ def parse_certificate(text: str) -> OrderCertificate:
     return default_certificate(lower, upper, bound)
 
 
-@dataclass(frozen=True)
-class Report:
-    ok: bool
-    message: str
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
-    """Probe a certificate to finite depth.
+def verify_certificate(cert: OrderCertificate, depth: int) -> Optional[str]:
+    """Probe a certificate to finite depth: None if it survives the probe,
+    else the reason it fails.
 
     Draws the `depth` smallest surplus elements and reads one prefix of
     each of lower and upper, up to the probe bound: the largest of the
@@ -97,25 +89,25 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Report:
     surplus element outside upper or inside lower is reported; then every
     element of lower from the exception bound up to the probe bound must
     lie in upper, and the first that does not is reported.  A failed check
-    is reported, not raised.
+    is returned, not raised.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     try:
         surplus = cert.surplus.first_n(depth)
     except ResourceLimitError as exc:
-        return Report(False, f"surplus exhausted: {exc}")
+        return f"surplus exhausted: {exc}"
     probe = max(cert.bound, surplus[-1], 4 * depth) + 1
     lower, upper = cert.lower.bits(probe), cert.upper.bits(probe)
     bad = lower[surplus] | ~upper[surplus]
     if bad.any():
         s = surplus[int(bad.argmax())]
         where = "not in upper" if not upper[s] else "lies in lower"
-        return Report(False, f"surplus element {s} {where}")
+        return f"surplus element {s} {where}"
     escaped = lower[cert.bound:] & ~upper[cert.bound:]
     if escaped.any():
-        return Report(False, f"element {cert.bound + int(escaped.argmax())}")
-    return Report(True, "OK")
+        return f"element {cert.bound + int(escaped.argmax())}"
+    return None
 
 
 @dataclass
@@ -123,21 +115,17 @@ class ChainReport:
     """A run of checks, one line per check -- `<label> OK` or
     `<label> FAIL <reason>` -- closed by the tally `CHECKED n FAILED m`."""
 
-    lines: List[str] = field(default_factory=list)
+    checked: int = 0
     failed: int = 0
 
     def add(self, label: str, reason: Optional[str]) -> str:
-        """Record one check and return its line; `reason` is None for a
+        """Count one check and return its line; `reason` is None for a
         pass.  An empty label or reason is left out of the line."""
         words = [label, "OK"] if reason is None else [label, "FAIL", reason]
-        self.lines.append(" ".join(w for w in words if w))
+        self.checked += 1
         if reason is not None:
             self.failed += 1
-        return self.lines[-1]
-
-    @property
-    def checked(self) -> int:
-        return len(self.lines)
+        return " ".join(w for w in words if w)
 
     @property
     def ok(self) -> bool:
@@ -146,10 +134,6 @@ class ChainReport:
     @property
     def tally(self) -> str:
         return f"CHECKED {self.checked} FAILED {self.failed}"
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.lines + [self.tally])
 
 
 def compose_certs(c1: OrderCertificate, c2: OrderCertificate) -> OrderCertificate:
@@ -193,9 +177,9 @@ class SplitChain:
 
     def __init__(self, cert: OrderCertificate, validate: bool = True):
         if validate:
-            r = verify_certificate(cert, 4)
-            if not r.ok:
-                raise InvalidCertificateError(f"invalid interval certificate: {r.message}")
+            reason = verify_certificate(cert, 4)
+            if reason is not None:
+                raise InvalidCertificateError(f"invalid interval certificate: {reason}")
         self.x = cert.lower
         self.y = cert.upper
         self.bound = cert.bound

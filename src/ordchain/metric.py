@@ -109,8 +109,6 @@ class SeparatedNets:
 
     space: MetricSpace
     levels: List[List[int]] = field(default_factory=list)
-    _center_cache: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, n: int) -> List[int]:
         while len(self.levels) <= n:
@@ -141,17 +139,15 @@ class SeparatedNets:
     def _centers(self, n: int) -> np.ndarray:
         """Per point x, the level-n center within 2^(-n) of x: -1 if there
         is none, -2 if there are several (a locality fault)."""
-        if n not in self._center_cache:
-            net = self.level(n)
-            hits = self.space._closer_than(1, n, net)
-            count = hits.sum(axis=1)
-            centers = np.full(self.space.n, -1)
-            if net:
-                one = count == 1
-                centers[one] = np.asarray(net)[hits[one].argmax(axis=1)]
-            centers[count > 1] = -2
-            self._center_cache[n] = centers
-        return self._center_cache[n]
+        net = self.level(n)
+        hits = self.space._closer_than(1, n, net)
+        count = hits.sum(axis=1)
+        centers = np.full(self.space.n, -1)
+        if net:
+            one = count == 1
+            centers[one] = np.asarray(net)[hits[one].argmax(axis=1)]
+        centers[count > 1] = -2
+        return centers
 
     def _locality_error(self, n: int, x: int) -> LocalityError:
         net = self.level(n)

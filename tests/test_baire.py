@@ -112,6 +112,16 @@ def test_unknown_index_is_an_error():
         BaireFunction(family, Ordinal.from_int(99))
 
 
+def test_family_rejects_index_not_below_bound():
+    # w + 1 is not below w: the embedding has no point for it, so the
+    # family refuses it up front instead of failing on a later pair check
+    emb = OrdinalEmbedding(parse_ordinal("w"), default_interval())
+    for bad, shown in (("w+1", r"w \+ 1"), ("w", "w")):
+        with pytest.raises(ValueError,
+                           match=f"^index {shown} is not below the bound w$"):
+            EmbeddingFamily(emb, [Ordinal.from_int(1), parse_ordinal(bad)])
+
+
 def test_every_value_is_justified():
     family, idx = omega_family(6)
     for p in idx:
@@ -250,35 +260,35 @@ def test_fsigma_rejects_mismatched_certificate():
 # Chain verification.
 
 def report_of(checks):
+    """The report of a run of checks, and the line printed per check."""
     report = ChainReport()
-    for check in checks:
-        report.add(*check)
-    return report
+    lines = [report.add(*check) for check in checks]
+    return report, lines
 
 
 def test_chain_report_on_embedding():
     family, idx = omega_family()
     rng = random.Random(5)
     pairs = [tuple(rng.sample(idx, 2)) for _ in range(20)]
-    report = report_of(monotone_checks(family, pairs, 16, idx[:4]))
-    assert report.ok, report.text
+    report, lines = report_of(monotone_checks(family, pairs, 16, idx[:4]))
+    assert report.ok, lines
     assert report.checked == 20 and report.failed == 0
-    assert report.text.endswith("CHECKED 20 FAILED 0")
-    assert all(line.startswith("PAIR ") for line in report.lines)
+    assert report.tally == "CHECKED 20 FAILED 0"
+    assert all(line.startswith("PAIR ") for line in lines)
 
 
 def test_chain_rejects_equal_pair():
     family, idx = omega_family()
-    report = report_of(monotone_checks(family, [(idx[2], idx[2])], 8, ()))
+    report, lines = report_of(monotone_checks(family, [(idx[2], idx[2])], 8, ()))
     assert report.failed == 1
-    assert "not strictly comparable" in report.lines[0]
+    assert "not strictly comparable" in lines[0]
 
 
 def test_chain_normalizes_pair_order():
     family, idx = omega_family()
-    report = report_of(monotone_checks(family, [(idx[5], idx[1])], 8, ()))
+    report, lines = report_of(monotone_checks(family, [(idx[5], idx[1])], 8, ()))
     assert report.ok
-    assert report.lines[0] == "PAIR 1 5 OK"
+    assert lines[0] == "PAIR 1 5 OK"
 
 
 def test_chain_flags_corrupted_certificate():
@@ -289,32 +299,32 @@ def test_chain_flags_corrupted_certificate():
         (0, 2): default_certificate(MULT4, NATS, 0),
     }
     family = ExplicitFamily(members, certs)
-    report = report_of(monotone_checks(family, [(0, 1), (1, 2), (0, 2)], 4, ()))
+    report, lines = report_of(monotone_checks(family, [(0, 1), (1, 2), (0, 2)], 4, ()))
     assert report.failed == 1
-    assert report.lines[0] == "PAIR 0 1 OK"
-    assert report.lines[1].startswith("PAIR 1 2 FAIL")
-    assert report.lines[1].endswith("surplus element 0 lies in lower")
+    assert lines[0] == "PAIR 0 1 OK"
+    assert lines[1].startswith("PAIR 1 2 FAIL")
+    assert lines[1].endswith("surplus element 0 lies in lower")
 
 
 def test_chain_flags_wrong_endpoints():
     members = [MULT4, EVENS]
     certs = {(0, 1): default_certificate(EVENS, NATS, 0)}
     family = ExplicitFamily(members, certs)
-    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
-    assert report.failed == 1 and "lower end" in report.lines[0]
+    report, lines = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    assert report.failed == 1 and "lower end" in lines[0]
 
 
 def test_chain_flags_missing_certificate():
     family = ExplicitFamily([MULT4, EVENS], {})
-    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    report, _ = report_of(monotone_checks(family, [(0, 1)], 4, ()))
     assert report.failed == 1
 
 
 def test_chain_monotone_on_sample_points():
     family, idx = omega_family(6)
     pairs = [(idx[i], idx[j]) for i in range(6) for j in range(i + 1, 6)]
-    report = report_of(monotone_checks(family, pairs, 16, idx))
-    assert report.ok, report.text
+    report, lines = report_of(monotone_checks(family, pairs, 16, idx))
+    assert report.ok, lines
     # direct statement: f_i <= f_j pointwise, strict at x_i
     for i, j in [(0, 3), (2, 5)]:
         fi = BaireFunction(family, idx[i])
@@ -326,15 +336,15 @@ def test_chain_monotone_on_sample_points():
 def test_chain_reports_unknown_index_unquoted():
     family, idx = omega_family(4)
     pair = (Ordinal.from_int(1), Ordinal.from_int(9))
-    report = report_of(monotone_checks(family, [pair], 8, idx))
-    assert report.lines == ["PAIR 1 9 FAIL pair (1, 9) not in family"]
+    _, lines = report_of(monotone_checks(family, [pair], 8, idx))
+    assert lines == ["PAIR 1 9 FAIL pair (1, 9) not in family"]
 
 
 def test_chain_flags_wrong_upper_end():
     certs = {(0, 1): default_certificate(MULT4, NATS, 0)}
     family = ExplicitFamily([MULT4, EVENS], certs)
-    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
-    assert report.lines == ["PAIR 0 1 FAIL certificate upper end is not x_j"]
+    _, lines = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    assert lines == ["PAIR 0 1 FAIL certificate upper end is not x_j"]
 
 
 class ReflexiveFamily(ExplicitFamily):
@@ -347,8 +357,8 @@ class ReflexiveFamily(ExplicitFamily):
 def test_chain_flags_missing_strict_witness():
     certs = {(0, 1): default_certificate(MULT4, EVENS, 0)}
     family = ReflexiveFamily([MULT4, EVENS], certs)
-    report = report_of(monotone_checks(family, [(0, 1)], 4, ()))
-    assert report.lines == ["PAIR 0 1 FAIL strict witness at x_i missing"]
+    _, lines = report_of(monotone_checks(family, [(0, 1)], 4, ()))
+    assert lines == ["PAIR 0 1 FAIL strict witness at x_i missing"]
 
 
 class CyclicFamily(ExplicitFamily):
@@ -363,5 +373,5 @@ class CyclicFamily(ExplicitFamily):
 def test_chain_flags_intransitive_order():
     certs = {(0, 1): default_certificate(MULT4, EVENS, 0)}
     family = CyclicFamily([MULT4, EVENS, NATS], certs)
-    report = report_of(monotone_checks(family, [(0, 1)], 4, [0, 1, 2]))
-    assert report.lines == ["PAIR 0 1 FAIL monotonicity fails at point 2"]
+    _, lines = report_of(monotone_checks(family, [(0, 1)], 4, [0, 1, 2]))
+    assert lines == ["PAIR 0 1 FAIL monotonicity fails at point 2"]

@@ -10,7 +10,7 @@ import pytest
 
 from ordchain import lazyset
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            OrdinalEmbedding, Report, SplitChain, _block_end,
+                            OrdinalEmbedding, SplitChain, _block_end,
                             _block_index, base_cert, compose_certs,
                             default_certificate, default_interval,
                             parse_certificate, tree_node, tree_split,
@@ -27,8 +27,8 @@ MULT4 = ap(4, 0)
 
 
 def assert_valid(cert, depth=32):
-    r = verify_certificate(cert, depth)
-    assert r.ok, r.message
+    reason = verify_certificate(cert, depth)
+    assert reason is None, reason
 
 
 def child_certs(s, a, b):
@@ -53,9 +53,7 @@ def test_verify_catches_bad_exception_bound():
     # 0 lies in lower but not upper, yet the bound claims no exceptions
     upper = inter(EVENS, ap(1, 1))               # evens >= 2
     bad = default_certificate(MULT4, upper, 0)
-    r = verify_certificate(bad, 8)
-    assert not r.ok
-    assert "element 0" in r.message
+    assert verify_certificate(bad, 8) == "element 0"
 
 
 def test_verify_accepts_with_adequate_bound():
@@ -64,27 +62,24 @@ def test_verify_accepts_with_adequate_bound():
 
 def test_verify_catches_surplus_in_lower():
     bad = OrderCertificate(MULT4, EVENS, 0, EVENS)
-    r = verify_certificate(bad, 3)
-    assert not r.ok and r.message == "surplus element 0 lies in lower"
+    assert verify_certificate(bad, 3) == "surplus element 0 lies in lower"
 
 
 def test_verify_catches_surplus_outside_upper():
     bad = OrderCertificate(MULT4, EVENS, 0, ap(2, 1))
-    r = verify_certificate(bad, 2)
-    assert not r.ok and r.message == "surplus element 1 not in upper"
+    assert verify_certificate(bad, 2) == "surplus element 1 not in upper"
 
 
 def test_verify_reports_exhausted_surplus():
     bad = OrderCertificate(MULT4, EVENS, 0, diff(diff(EVENS, MULT4), ap(1, 7)))
-    r = verify_certificate(bad, 5)
-    assert not r.ok and r.message.startswith(
+    assert verify_certificate(bad, 5).startswith(
         "surplus exhausted: found only 2 elements of ")
 
 
 def test_surplus_outside_upper_is_reported_before_lower():
     # 1 lies in lower and outside upper (the bound allows it)
     bad = OrderCertificate(union(MULT4, singleton(1)), EVENS, 2, ap(1, 1))
-    assert verify_certificate(bad, 4).message == "surplus element 1 not in upper"
+    assert verify_certificate(bad, 4) == "surplus element 1 not in upper"
 
 
 @pytest.mark.parametrize("surplus", [[2, 6, 10], (2, 6), range(2, 99, 4)],
@@ -98,8 +93,7 @@ def test_certificates_are_not_decisions():
     # a certificate is only refutable at depth; a bogus claim about sets
     # that are actually ordered the other way is caught by the scan
     bad = default_certificate(EVENS, MULT4, 0)
-    r = verify_certificate(bad, 8)
-    assert not r.ok
+    assert verify_certificate(bad, 8) is not None
 
 
 def members_upto(s, n):
@@ -111,23 +105,23 @@ def reference_verify(cert, depth):
     """The verifier as it was before it read one prefix of each set: every
     surplus element, and every element of lower up to the probe bound, is
     looked up with `member` one at a time.  An oracle for
-    verify_certificate."""
+    verify_certificate: the failure reason, or None for a pass."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     try:
         surplus = cert.surplus.first_n(depth)
     except ResourceLimitError as exc:
-        return Report(False, f"surplus exhausted: {exc}")
+        return f"surplus exhausted: {exc}"
     for s in surplus:
         if not cert.upper.member(s):
-            return Report(False, f"surplus element {s} not in upper")
+            return f"surplus element {s} not in upper"
         if cert.lower.member(s):
-            return Report(False, f"surplus element {s} lies in lower")
+            return f"surplus element {s} lies in lower"
     probe = max(cert.bound, max(surplus, default=0), 4 * depth)
     for e in members_upto(cert.lower, probe + 1):
         if e >= cert.bound and not cert.upper.member(e):
-            return Report(False, f"element {e}")
-    return Report(True, "OK")
+            return f"element {e}"
+    return None
 
 
 def singleton(n):
@@ -171,10 +165,12 @@ def oracle_corpus():
     return certs
 
 
-def verdict(report):
-    """The kind of a report: OK, element, or one of the three surplus
-    failures."""
-    words = report.message.split(" ", 3)
+def verdict(reason):
+    """The kind of a verifier's result: OK (a None reason), element, or one
+    of the three surplus failures."""
+    if reason is None:
+        return "OK"
+    words = reason.split(" ", 3)
     if words[:2] == ["surplus", "element"]:
         return words[3]
     return "surplus exhausted" if words[0] == "surplus" else words[0]
@@ -186,13 +182,13 @@ VERDICTS = {"OK", "element", "surplus exhausted", "not in upper",
 
 @pytest.mark.parametrize("depth", [4, 16, 32])
 def test_verify_matches_reference(depth):
-    reports = []
+    verdicts = []
     for cert in oracle_corpus():
-        report = verify_certificate(cert, depth)
-        assert report == reference_verify(cert, depth), cert.serialize()
-        reports.append(verdict(report))
+        reason = verify_certificate(cert, depth)
+        assert reason == reference_verify(cert, depth), cert.serialize()
+        verdicts.append(verdict(reason))
     # the corpus reaches every verdict
-    assert set(reports) == VERDICTS
+    assert set(verdicts) == VERDICTS
 
 
 def random_set(rng, depth):
@@ -241,9 +237,9 @@ def test_verify_matches_reference_on_random_certificates(seed):
     for _ in range(400):
         cert = random_certificate(rng)
         depth = rng.randint(1, 40)
-        report = verify_certificate(cert, depth)
-        assert report == reference_verify(cert, depth), (cert.serialize(), depth)
-        seen.add(verdict(report))
+        reason = verify_certificate(cert, depth)
+        assert reason == reference_verify(cert, depth), (cert.serialize(), depth)
+        seen.add(verdict(reason))
     assert seen == VERDICTS
 
 
@@ -255,7 +251,7 @@ def test_verify_matches_reference_under_low_scan_cap():
     lazyset.set_scan_cap(1 << 12)
     for cert in corpus:
         assert verify_certificate(cert, 16) == reference_verify(cert, 16)
-    assert not verify_certificate(corpus[-1], 16).ok
+    assert verify_certificate(corpus[-1], 16) is not None
     beyond = default_certificate(MULT4, EVENS, 1 << 12)
     for verify in (verify_certificate, reference_verify):
         with pytest.raises(ResourceLimitError):
@@ -307,7 +303,7 @@ def test_compose_rejects_mismatched_middle():
 def test_compose_accepts_a_deep_copied_leg():
     leg = copy.deepcopy(base_cert(1, 2))
     assert leg.lower is rows(1) and leg.upper is rows(2)
-    assert verify_certificate(compose_certs(base_cert(0, 1), leg), 16).ok
+    assert verify_certificate(compose_certs(base_cert(0, 1), leg), 16) is None
 
 
 def test_compose_random_chains_valid():

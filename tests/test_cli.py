@@ -83,6 +83,7 @@ GOLDEN_FILES = {
                       "order 0 1 2\n",
     "good.cert": "cert{m=0, lower=ap(4,0), upper=ap(2,0)}\n",
     "bad.cert": "cert{m=0, lower=ap(4,0), upper=inter(ap(2,0),ap(1,1))}\n",
+    "exhausted.cert": "cert{m=0, lower=rows(2), upper=rows(1)}\n",
 }
 
 GOLDEN = [
@@ -145,6 +146,9 @@ GOLDEN = [
                  "OK\n", id="verify-good"),
     pytest.param(["verify", "--cert", "bad.cert"], 1,
                  "FAIL element 0\n", id="verify-bad"),
+    pytest.param(["verify", "--cert", "exhausted.cert"], 1,
+                 "FAIL surplus exhausted: found only 0 elements of "
+                 "diff(rows(1),rows(2)) below 134217728\n", id="verify-exhausted"),
     pytest.param(["cont", "--space", "two.space", "--eval", "1,0"], 0,
                  "f 1 at 0 = 2/1 (+/- 0)\n", id="cont-eval"),
     pytest.param(["cont", "--space", "two.space", "--eval", "1,0",
