@@ -12,8 +12,7 @@ from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding,
                     SplitChain, base_cert, compose_certs, default_certificate,
                     default_interval, parse_certificate, tree_node,
                     tree_split, verify_certificate)
-from .baire import (BaireFunction, EmbeddingFamily, FSigmaWitness,
-                    fsigma_witness)
+from .baire import BaireFunction, FSigmaWitness, fsigma_witness
 from .metric import (ContChain, MetricAxiomError, MetricSpace, SeparatedNets,
                      parse_space)
 

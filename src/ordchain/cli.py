@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, List, Optional, Tuple
 
 from . import lazyset
-from .baire import EmbeddingFamily, monotone_checks
+from .baire import pair_failure
 from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     OrdinalEmbedding, SplitChain, default_certificate,
                     default_interval, parse_certificate, tree_split,
@@ -53,6 +53,11 @@ def _input_problem(args) -> Optional[str]:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             return f"--{flag} must be >= {least}"
+    if getattr(args, "bound", 0) and args.interval is None:
+        return "--bound needs --interval"
+    if args.command == "cont" and args.truncate is not None \
+            and args.eval is None:
+        return "--truncate needs --eval"
     if args.command == "tree":
         args.address = _naturals(args.address)
         if args.address is None:
@@ -103,25 +108,27 @@ def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
     return default_certificate(parse_set(lo), parse_set(hi), bound)
 
 
-def cmd_embed(args) -> int:
+def _pair_checks(args, interval: Optional[str], bound: int, check) -> int:
+    """Report `check(embedding, a, b, depth)` for each of `--pairs` seeded
+    pairs a < b below `--ordinal`, embedded into the interval."""
     xi = parse_ordinal(args.ordinal)
-    embedding = OrdinalEmbedding(xi, _interval_cert(args.interval, args.bound))
+    embedding = OrdinalEmbedding(xi, _interval_cert(interval, bound))
     pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \
         if not xi.is_zero() else []
     return _report((f"PAIR {format_ordinal(a, compact=True)} "
                     f"{format_ordinal(b, compact=True)}",
-                    verify_certificate(embedding.cert(a, b), args.depth))
+                    check(embedding, a, b, args.depth))
                    for a, b in pairs)
 
 
+def cmd_embed(args) -> int:
+    return _pair_checks(args, args.interval, args.bound,
+                        lambda emb, a, b, depth:
+                        verify_certificate(emb.cert(a, b), depth))
+
+
 def cmd_baire(args) -> int:
-    xi = parse_ordinal(args.ordinal)
-    embedding = OrdinalEmbedding(xi, default_interval())
-    pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \
-        if not xi.is_zero() else []
-    indices = sorted({a for p in pairs for a in p})
-    family = EmbeddingFamily(embedding, indices)
-    return _report(monotone_checks(family, pairs, args.depth, indices[:5]))
+    return _pair_checks(args, None, 0, pair_failure)
 
 
 def cmd_cont(args) -> int:

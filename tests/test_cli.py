@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ordchain
+from ordchain import lazyset
 from ordchain.cli import USAGE_ERROR, main
 from ordchain.metric import format_eval
 from ordchain.ordinal import MAX_NESTING
@@ -440,6 +441,42 @@ def test_baire_zero_pairs(capsys):
     assert out.strip() == "CHECKED 0 FAILED 0"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["split", "--bound", "7", "--count", "1"], "split: --bound needs --interval\n"),
+    (["embed", "--ordinal", "w", "--bound", "7"], "embed: --bound needs --interval\n"),
+    (["cont", "--space", "two.space", "--truncate", "3", "--check-all"],
+     "cont: --truncate needs --eval\n"),
+], ids=["split", "embed", "cont"])
+def test_flag_without_its_partner_names_it(capsys, tmp_path, monkeypatch,
+                                           argv, err):
+    write(tmp_path, "two.space", TWO_POINT)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (USAGE_ERROR, "", err)
+
+
+@pytest.mark.parametrize("scan_cap", [None, 1 << 12], ids=["default", "low-scan-cap"])
+@pytest.mark.parametrize("ordinal, pairs, depth, seed", [
+    ("w*2", "4", "8", "0"), ("w^(w)", "12", "16", "3"), ("w*3+2", "8", "8", "2"),
+], ids=["w*2", "w^(w)", "w*3+2"])
+def test_baire_checks_what_embed_checks(capsys, ordinal, pairs, depth, seed,
+                                        scan_cap):
+    # a low scan cap makes probes run out, so FAIL lines appear too
+    if scan_cap is not None:
+        lazyset.set_scan_cap(scan_cap)
+    argv = ["--ordinal", ordinal, "--pairs", pairs, "--depth", depth,
+            "--seed", seed]
+    embed_code, embed_out, _ = run(capsys, "embed", *argv)
+    baire_code, baire_out, _ = run(capsys, "baire", *argv)
+    assert baire_code == embed_code
+    embed_lines, baire_lines = embed_out.splitlines(), baire_out.splitlines()
+    assert len(baire_lines) == len(embed_lines)
+    for e, b in zip(embed_lines, baire_lines):
+        label, sep, reason = e.partition(" FAIL ")
+        assert b == (f"{label} FAIL certificate: {reason}" if sep else e)
+    if scan_cap is not None and ordinal == "w^(w)":
+        assert " FAIL " in embed_out
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -623,10 +660,16 @@ def test_huge_numeral_is_usage_error(capsys, tmp_path, monkeypatch, argv, prefix
      "--interval", "union(ap(4,0),diff(ap(1,1),ap(1,2))),ap(2,0)"],
     ["embed", "--ordinal", "w", "--pairs", "-1"],
     ["baire", "--ordinal", "w", "--pairs", "-1"],
+    # flags that would do nothing without the one they qualify
+    ["split", "--bound", "7", "--count", "1", "--depth", "4"],
+    ["embed", "--ordinal", "w", "--bound", "7"],
+    ["cont", "--space", "two.space", "--truncate", "3"],
 ], ids=["embed-depth", "baire-depth", "split-depth", "tree-depth",
         "split-count", "cont-eval", "cont-truncate", "tree-address",
         "space-point-range", "cont-truncate-unprintable", "space-negative-count",
-        "embed-bound", "split-bound", "embed-pairs", "baire-pairs"])
+        "embed-bound", "split-bound", "embed-pairs", "baire-pairs",
+        "split-bound-no-interval", "embed-bound-no-interval",
+        "cont-truncate-no-eval"])
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     write(tmp_path, "two.space", TWO_POINT)
     write(tmp_path, "far.space", TWO_POINT + "dist 0 5 1/1\n")
