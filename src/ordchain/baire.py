@@ -17,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-from .certs import InvalidCertificateError, OrderCertificate, verify_certificate
+from .certs import (InvalidCertificateError, OrderCertificate,
+                    UnknownIndexError, verify_certificate)
 from .lazyset import LazySet, escapes
 from .ordinal import Ordinal, compare
-
-
-class UnknownIndexError(LookupError):
-    pass
 
 
 @dataclass(frozen=True)

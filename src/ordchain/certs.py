@@ -4,9 +4,10 @@ the naturals.
 A relation ``lower almost-contained-in upper`` is never decided; it is
 witnessed by an OrderCertificate: a finite exception bound m (every element
 of lower outside upper is < m) together with a surplus set, infinitely many
-elements of upper that avoid lower.  Certificates are checkable to any
-finite depth, from one prefix of each of their sets, and compose
-transitively.
+elements of upper that avoid lower.  Certificates are proved from the
+structure of their sets where the rules of `lazyset` allow, are checkable
+otherwise to any finite depth, from one prefix of each of their sets, and
+compose transitively.
 
 On top of the certificates this module builds:
 
@@ -24,13 +25,18 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
-                      inter, parse_set, piece, rows, union)
+                      disjoint, infinite, inter, parse_set, piece, rows,
+                      subset, union)
 from .ordinal import (ONE, Ordinal, compare, fundamental_index,
                       fundamental_sequence, left_subtract)
 
 
 class InvalidCertificateError(ValueError):
     pass
+
+
+class UnknownIndexError(LookupError):
+    """A notation that is not below an embedding's bound."""
 
 
 @dataclass(frozen=True)
@@ -80,19 +86,29 @@ def parse_certificate(text: str) -> OrderCertificate:
 
 
 def verify_certificate(cert: OrderCertificate, depth: int) -> Optional[str]:
-    """Probe a certificate to finite depth: None if it survives the probe,
-    else the reason it fails.
+    """None if the certificate is proved or survives the probe to finite
+    depth, else the reason it fails.
 
-    Draws the `depth` smallest surplus elements and reads one prefix of
-    each of lower and upper, up to the probe bound: the largest of the
-    exception bound, the last surplus element and 4 * depth.  The first
-    surplus element outside upper or inside lower is reported; then every
-    element of lower from the exception bound up to the probe bound must
-    lie in upper, and the first that does not is reported.  A failed check
-    is returned, not raised.
+    First the structural rules of `lazyset` are asked for lower ⊆ upper,
+    and for a surplus that is infinite, inside upper and disjoint from
+    lower.  If all four are proved the certificate holds, and None is
+    returned with no surplus drawn and no bitmap read; the answers stay on
+    the sets, so a repeated certificate costs a few lookups.
+
+    Any other certificate is probed: the `depth` smallest surplus elements
+    are drawn and one prefix of each of lower and upper is read, up to the
+    probe bound, the largest of the exception bound, the last surplus
+    element and 4 * depth.  The first surplus element outside upper or
+    inside lower is reported; then every element of lower from the
+    exception bound up to the probe bound must lie in upper, and the first
+    that does not is reported.  A failed check is returned, not raised.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if subset(cert.lower, cert.upper) and infinite(cert.surplus) \
+            and subset(cert.surplus, cert.upper) \
+            and disjoint(cert.surplus, cert.lower):
+        return None
     try:
         surplus = cert.surplus.first_n(depth)
     except ResourceLimitError as exc:
@@ -303,7 +319,7 @@ class OrdinalEmbedding:
         """Slot index, offset within the slot, and the slot's sub-embedding
         (None for a single-point slot) of alpha < bound."""
         if compare(alpha, self.bound) != -1:
-            raise KeyError(f"notation {alpha} is not below {self.bound}")
+            raise UnknownIndexError(f"notation {alpha} is not below {self.bound}")
         t = self._slot_index(alpha)
         if t not in self._slots:
             start = self._slot_end(t - 1) if t else Ordinal()

@@ -31,6 +31,14 @@ prefix covers P + T the node is folded: the cache stops growing and holds
 one preperiod plus one period, and every later question is answered from
 it.  With or without caches, folded or not, the observable behavior is
 identical.
+
+Three facts are proved from the structure of the expressions, with no
+scan: `subset(a, b)`, `disjoint(a, b)` and `infinite(s)`.  Each answers
+True only with a proof by sound rules, such as piece(s,i) ⊆ s, distinct
+pieces of one parent are disjoint, and x ⊆ union(x, y); piece-free nodes
+with a short P + T are decided from their fold.  An answer is kept on the
+node, so a repeated question costs one lookup, and, like a shape, it is a
+fact about the expression: `purge_caches` keeps it.
 """
 
 from __future__ import annotations
@@ -78,8 +86,8 @@ def set_scan_cap(cap: int) -> None:
 
 
 def purge_caches() -> None:
-    """Drop every membership cache; semantics are unaffected.  Shapes are
-    facts about the expressions and stay."""
+    """Drop every membership cache; semantics are unaffected.  Shapes and
+    proved facts are about the expressions and stay."""
     global _cached_bytes
     for node in _INTERN.values():
         node._bits = np.zeros(0, dtype=bool)
@@ -104,7 +112,8 @@ _INTERN = {}
 class LazySet:
     """Interned expression node; construct via the module factories."""
 
-    __slots__ = ("kind", "nats", "children", "depth", "_text", "_bits", "_shape")
+    __slots__ = ("kind", "nats", "children", "depth", "_text", "_bits", "_shape",
+                 "_facts")
 
     def __init__(self, kind, nats, children, depth):
         self.kind = kind
@@ -115,6 +124,8 @@ class LazySet:
         self._bits = np.zeros(0, dtype=bool)
         # (P, T) once known, False if P + T passes _SHAPE_LIMIT
         self._shape = None
+        # (rule name, other node or None) -> whether the rules prove it
+        self._facts = {}
 
     def __repr__(self):
         return f"LazySet<{self.expr}>"
@@ -147,11 +158,7 @@ class LazySet:
         """Membership indicator over [0, n)."""
         if n > _SCAN_CAP:
             raise ResourceLimitError(f"scan bound {n} exceeds cap {_SCAN_CAP}")
-        if len(self._bits) < n and not _folded(self):
-            if _cached_bytes > _CACHE_BUDGET:
-                purge_caches()
-            _extend_bits(self, n)
-        return _prefix(self, n)
+        return _grown(self, n)
 
     def member(self, n: int) -> bool:
         """Whether n is a member: one `bits` prefix to n + 1."""
@@ -255,6 +262,15 @@ def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
 def _folded(node: LazySet) -> bool:
     shape = node._shape
     return bool(shape) and len(node._bits) >= shape[0] + shape[1]
+
+
+def _grown(node: LazySet, n: int) -> np.ndarray:
+    """Membership over [0, n), growing the cache as needed."""
+    if len(node._bits) < n and not _folded(node):
+        if _cached_bytes > _CACHE_BUDGET:
+            purge_caches()
+        _extend_bits(node, n)
+    return _prefix(node, n)
 
 
 def _prefix(node: LazySet, n: int) -> np.ndarray:
@@ -366,6 +382,192 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
         out[np.flatnonzero(x)[(1 << i) - 1::1 << (i + 1)]] = True   # ranks r with v2(r) = i
         return out
     raise AssertionError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Structural proofs.  `subset`, `disjoint` and `infinite` answer True only
+# with a proof by the rules below, and False when no rule proves the claim,
+# which may still hold.  A subset or disjointness question asks only about
+# pairs of smaller total depth, never whether a set is infinite, and an
+# `infinite` question asks that only of shallower nodes, so the search
+# ends.  It runs on an explicit stack of rule generators, each yielding the
+# questions it needs answered, so deep expressions do not recurse.
+
+# Piece-free nodes whose P + T is at most this are decided from their fold.
+_FOLD_LIMIT = 1 << 20
+
+
+def subset(a: LazySet, b: LazySet) -> bool:
+    """Whether the rules prove every member of a a member of b."""
+    return _prove("subset", a, b)
+
+
+def disjoint(a: LazySet, b: LazySet) -> bool:
+    """Whether the rules prove that a and b share no member."""
+    return _prove("disjoint", a, b)
+
+
+def infinite(s: LazySet) -> bool:
+    """Whether the rules prove s infinite."""
+    return _prove("infinite", s, None)
+
+
+def _prove(rule, a, b):
+    facts, key = _slot(rule, a, b)
+    answer = facts.get(key)
+    stack = [] if answer is not None else [(facts, key, _RULES[rule](a, b))]
+    while stack:
+        facts, key, steps = stack[-1]
+        try:
+            ask = steps.send(answer)
+        except StopIteration as stop:
+            stack.pop()
+            answer = facts[key] = bool(stop.value)
+            continue
+        facts, key = _slot(*ask)
+        answer = facts.get(key)
+        if answer is None:
+            stack.append((facts, key, _RULES[ask[0]](*ask[1:])))
+    return answer
+
+
+def _slot(rule, a, b):
+    """Where the answer is kept: a node's facts, and the key there."""
+    if rule == "disjoint" and id(b) < id(a):    # one entry for both orders
+        a, b = b, a
+    return a._facts, (rule, b)
+
+
+def _subset_rules(a, b):
+    if a is b or a.kind == "empty":
+        return True
+    spine = _union_tree(b)
+    if a in spine:                          # x ⊆ union(x, y)
+        return True
+    for c in spine:                         # x ⊆ inter(y, z) if x ⊆ y and x ⊆ z
+        if c.kind == "inter" and (yield "subset", a, c.children[0]) \
+                and (yield "subset", a, c.children[1]):
+            return True
+    if a.kind == "union":                   # each summand, exactly
+        for c in _summands(a):
+            if c not in spine and not (yield "subset", c, b):
+                return False
+        return True
+    for c in _containers(a):                # x ⊆ c ⊆ b
+        if (yield "subset", c, b):
+            return True
+    fold = _fold(a, b)
+    return fold is not None and not (fold[1] & ~fold[2]).any()
+
+
+def _disjoint_rules(a, b):
+    if a.kind == "empty" or b.kind == "empty":
+        return True
+    if a.kind == "union" or b.kind == "union":  # each pair of summands, exactly
+        for x in _summands(a):
+            for y in _summands(b):
+                if not _distinct_pieces(x, y) \
+                        and not (yield "disjoint", x, y):
+                    return False
+        return True
+    if _distinct_pieces(a, b):
+        return True
+    for x, y in ((a, b), (b, a)):
+        # diff(s, t) misses every subset of t
+        if x.kind == "diff" and (yield "subset", y, x.children[1]):
+            return True
+        for c in _containers(x):            # x ⊆ c, and c misses y
+            if (yield "disjoint", c, y):
+                return True
+    fold = _fold(a, b)
+    return fold is not None and not (fold[1] & fold[2]).any()
+
+
+def _infinite_rules(s, _):
+    if s.kind == "piece":                   # by the grammar's definition
+        return (yield "infinite", s.children[0], None)
+    if s.kind == "inter" and s.children[1].kind == "ap" \
+            and s.children[1].nats[0] == 1:  # drops finitely many members
+        return (yield "infinite", s.children[0], None)
+    if s.kind == "diff":
+        # diff(a, b) holds an infinite w ⊆ a disjoint from b: a union
+        # summand of a, or for a parent p of pieces in b's union, the first
+        # piece of p past them
+        a, b = s.children
+        last = {}
+        for n in _union_tree(b):
+            if n.kind == "piece":
+                p = n.children[0]
+                last[p] = max(last.get(p, -1), n.nats[0])
+        for w in _summands(a) + [piece(p, i + 1) for p, i in last.items()]:
+            if (yield "infinite", w, None) and (yield "subset", w, a) \
+                    and (yield "disjoint", w, b):
+                return True
+    fold = _fold(s)
+    return fold is not None and fold[1][fold[0]:].any()
+
+
+_RULES = {"subset": _subset_rules, "disjoint": _disjoint_rules,
+          "infinite": _infinite_rules}
+
+
+def _union_tree(s: LazySet) -> set:
+    """s and every node reached from it through union children alone."""
+    seen, stack = {s}, [s]
+    while stack:
+        node = stack.pop()
+        if node.kind == "union":
+            fresh = [c for c in node.children if c not in seen]
+            seen.update(fresh)
+            stack += fresh
+    return seen
+
+
+def _containers(x: LazySet) -> tuple:
+    """Operands that hold all of x: piece(s,i) ⊆ s, diff(s, t) ⊆ s, and
+    inter(s, t) ⊆ s and ⊆ t."""
+    if x.kind == "inter":
+        return x.children
+    return x.children[:1] if x.kind in ("piece", "diff") else ()
+
+
+def _summands(s: LazySet) -> list:
+    """The nodes of s's union tree that are not unions: s is their union."""
+    return [c for c in _union_tree(s) if c.kind != "union"]
+
+
+def _distinct_pieces(x: LazySet, y: LazySet) -> bool:
+    """Distinct pieces of one parent, so disjoint: their ranks lie in
+    distinct rows."""
+    return x.kind == y.kind == "piece" and x.children[0] is y.children[0] \
+        and x.nats != y.nats
+
+
+def _fold(*nodes):
+    """(P, then each node's membership over [0, P + T)) for a preperiod P
+    and a period T common to `nodes`, or None unless every node is
+    piece-free (its shape is then known without a scan) and P + T is at
+    most _FOLD_LIMIT."""
+    shapes = []
+    for node in nodes:
+        seen, stack = {node}, [node]
+        while stack:
+            n = stack.pop()
+            if n.kind == "piece":
+                return None
+            fresh = [c for c in n.children if c not in seen]
+            seen.update(fresh)
+            stack += fresh
+        if node._shape is None:
+            _grown(node, 1)                 # learns the shapes below node
+        shapes.append(node._shape)
+    if not all(shapes):
+        return None
+    p = max(shape[0] for shape in shapes)
+    n = p + math.lcm(*(shape[1] for shape in shapes))
+    if n > _FOLD_LIMIT:
+        return None
+    return (p, *(_grown(node, n) for node in nodes))
 
 
 # ---------------------------------------------------------------------------

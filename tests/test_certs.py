@@ -3,15 +3,16 @@ the address tree, and ordinal embeddings."""
 
 import copy
 import functools
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from ordchain import lazyset
+from ordchain import certs, lazyset
 from ordchain.certs import (InvalidCertificateError, OrderCertificate,
-                            OrdinalEmbedding, SplitChain, _block_end,
-                            _block_index, base_cert, compose_certs,
+                            OrdinalEmbedding, SplitChain, UnknownIndexError,
+                            _block_end, _block_index, base_cert, compose_certs,
                             default_certificate, default_interval,
                             parse_certificate, tree_node, tree_split,
                             verify_certificate)
@@ -243,19 +244,25 @@ def test_verify_matches_reference_on_random_certificates(seed):
     assert seen == VERDICTS
 
 
-def test_verify_matches_reference_under_low_scan_cap():
+def test_verify_matches_reference_under_low_scan_cap(monkeypatch):
     sparse = piece(diff(rows(1), empty()), 11)      # one element, 4094, below 2^12
     corpus = oracle_corpus() + [default_certificate(empty(), sparse, 0)]
+    beyond = default_certificate(MULT4, EVENS, 1 << 12)
     # caches longer than the cap would make every scan refuse at once
     lazyset.purge_caches()
     lazyset.set_scan_cap(1 << 12)
-    for cert in corpus:
-        assert verify_certificate(cert, 16) == reference_verify(cert, 16)
-    assert verify_certificate(corpus[-1], 16) is not None
-    beyond = default_certificate(MULT4, EVENS, 1 << 12)
-    for verify in (verify_certificate, reference_verify):
-        with pytest.raises(ResourceLimitError):
-            verify(beyond, 16)
+    # the probe alone: the cap cuts it short, as it cuts the reference
+    with monkeypatch.context() as m:
+        m.setattr(certs, "subset", lambda a, b: False)
+        for cert in corpus:
+            assert verify_certificate(cert, 16) == reference_verify(cert, 16)
+        assert verify_certificate(corpus[-1], 16) is not None
+        for verify in (verify_certificate, reference_verify):
+            with pytest.raises(ResourceLimitError):
+                verify(beyond, 16)
+    # both are true and proved from their structure, so nothing is scanned
+    assert verify_certificate(corpus[-1], 16) is None
+    assert verify_certificate(beyond, 16) is None
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +519,47 @@ def test_tree_discipline_random():
             assert_valid(c, depth=16)
 
 
+def tree_certs():
+    """The child certificates (a, b) = (1, 2) of every address of depth 1-4
+    with entries 0-3, as `verify --cert` reads them: 1,020 in all."""
+    return [default_certificate(c.lower, c.upper, c.bound)
+            for d in range(1, 5) for s in itertools.product(range(4), repeat=d)
+            for c in child_certs(s, 1, 2)]
+
+
+def embedding_certs():
+    """20 pair certificates each of w^(w) and w^(w^(w))."""
+    out = []
+    for text in ("w^(w)", "w^(w^(w))"):
+        xi = parse_ordinal(text)
+        emb = OrdinalEmbedding(xi, default_interval())
+        out += [emb.cert(a, b) for a, b in
+                sample_comparable_pairs(xi, 20, random.Random(1))]
+    return out
+
+
+def test_construction_certificates_are_proved():
+    for cert in tree_certs() + embedding_certs():
+        assert lazyset.subset(cert.lower, cert.upper), cert.serialize()
+        assert lazyset.infinite(cert.surplus), cert.serialize()
+        assert lazyset.subset(cert.surplus, cert.upper), cert.serialize()
+        assert lazyset.disjoint(cert.surplus, cert.lower), cert.serialize()
+
+
+def test_swapped_certificates_are_probed():
+    # with lower and upper exchanged no certificate is proved: each is
+    # probed and FAILs with the probe's reason
+    swapped = [default_certificate(c.upper, c.lower, c.bound)
+               for c in tree_certs()]
+    swapped += [OrderCertificate(c.upper, c.lower, c.bound, c.surplus)
+                for c in embedding_certs()]
+    assert len(swapped) == 1060
+    for cert in swapped:
+        reason = verify_certificate(cert, 32)
+        assert reason is not None
+        assert reason == reference_verify(cert, 32), cert.serialize()
+
+
 # ---------------------------------------------------------------------------
 # Ordinal embeddings.
 
@@ -536,16 +584,20 @@ def test_embed_requires_order():
     emb = OrdinalEmbedding(parse_ordinal("w"), default_interval())
     with pytest.raises(ValueError):
         emb.cert(Ordinal.from_int(2), Ordinal.from_int(2))
-    with pytest.raises(KeyError):
+    # the message prints as written, not quoted as a KeyError's would be
+    with pytest.raises(UnknownIndexError) as exc:
         emb.member(parse_ordinal("w"))
-    with pytest.raises(KeyError):
+    assert str(exc.value) == "notation w is not below w"
+    with pytest.raises(UnknownIndexError) as exc:
         emb.cert(Ordinal.from_int(1), parse_ordinal("w+1"))
+    assert str(exc.value) == "notation w + 1 is not below w"
 
 
 def test_embed_zero_is_empty():
     emb = OrdinalEmbedding(Ordinal(), default_interval())
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownIndexError) as exc:
         emb.member(Ordinal())
+    assert str(exc.value) == "notation 0 is not below 0"
 
 
 def test_embed_rejects_invalid_interval():

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordchain.lazyset as lazyset
 from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
@@ -433,6 +435,43 @@ def test_copies_and_pickles_are_the_interned_set():
         assert copy.copy(s) is s
         assert copy.deepcopy(s) is s
         assert pickle.loads(pickle.dumps(s)) is s
+
+
+# ---------------------------------------------------------------------------
+# Structural proofs, fuzzed against the unfolded oracle.
+
+PROOF_SPAN = 1 << 14
+
+
+def proof_pool(rng, depth):
+    """The nodes of a random expression, and of a split of two of them: z_0
+    = x ∩ y and z_{k+1} = z_k ∪ piece k of y minus x, the shape every
+    certificate's sets take."""
+    nodes = post_order(random_expr(rng, depth))
+    x, y = rng.choice(nodes), rng.choice(nodes)
+    z = inter(x, y)
+    for k in range(3):
+        z = union(z, piece(diff(y, x), k))
+    return list({id(n): n for n in nodes + post_order(z)}.values())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(st.integers(0, 1 << 32), st.integers(1, 5))
+def test_proofs_hold_on_reference_bits(seed, depth):
+    nodes = proof_pool(random.Random(seed), depth)
+    ref = {id(n): reference_bits(n, PROOF_SPAN) for n in nodes}
+    for a in nodes:
+        for b in nodes:
+            if lazyset.subset(a, b):
+                assert not (ref[id(a)] & ~ref[id(b)]).any(), (a, b)
+            if lazyset.disjoint(a, b):
+                assert not (ref[id(a)] & ref[id(b)]).any(), (a, b)
+        if lazyset.infinite(a):
+            # a member in one period, where the shape is known and short
+            a.bits(PROOF_SPAN)
+            if a._shape and sum(a._shape) <= PROOF_SPAN:
+                p, t = a._shape
+                assert ref[id(a)][p:p + t].any(), a
 
 
 # ---------------------------------------------------------------------------
