@@ -13,8 +13,9 @@ of p whose enumeration index lies in row i of the pairing; a piece of an
 infinite set is therefore infinite by construction.
 
 Nodes are interned on (constructor, naturals, interned children), so equal
-expressions are the same object, share caches and compare with `is`, at
-one table lookup per node.  The text `expr` is written only when asked for.
+expressions are the same object, share folds and proved facts, and compare
+with `is`, at one table lookup per node.  The text `expr` is written only
+when asked for.
 
 Every set in the grammar is eventually periodic: from its preperiod P on,
 n and n + T are members together, for its period T.  The shape (P, T)
@@ -23,14 +24,16 @@ is (b, a); union, inter and diff take the larger P and the lcm of the two
 T; piece(s,i) keeps the P of s and has period T*2^(i+1)/gcd(c, 2^(i+1)),
 where c is the number of members of s in one period (period 1 if c = 0).
 A node learns its shape once its children know theirs, and a piece learns
-c once its parent is folded.
+c once a scan has covered its parent's P + T.
 
-Each node caches a prefix bitmap of its membership, grown by `bits` (which
-`member` and `first_n` call) to the largest index asked for.  Once the
-prefix covers P + T the node is folded: the cache stops growing and holds
-one preperiod plus one period, and every later question is answered from
-it.  With or without caches, folded or not, the observable behavior is
-identical.
+Membership comes from a scan (`bits`, which `member` and `first_n` call):
+one post-order pass that computes each node's prefix from its children's.
+The prefixes live in a memo of that scan alone, each computed up to P + T
+and tiled past it.  A node keeps only a short fold, its members over
+[0, P + T) once P + T is at most _FOLD_LIMIT, and answers every later
+question from it.  A scan is charged n bytes for each node it computes
+before it allocates any, and past _SCAN_BUDGET it raises
+ResourceLimitError.  Folded or not, the observable behavior is identical.
 
 Three facts are proved from the structure of the expressions, with no
 scan: `subset(a, b)`, `disjoint(a, b)` and `infinite(s)`.  Each answers
@@ -38,7 +41,7 @@ True only with a proof by sound rules, such as piece(s,i) ⊆ s, distinct
 pieces of one parent are disjoint, and x ⊆ union(x, y); piece-free nodes
 with a short P + T are decided from their fold.  An answer is kept on the
 node, so a repeated question costs one lookup, and, like a shape, it is a
-fact about the expression: `purge_caches` keeps it.
+fact about the expression.
 """
 
 from __future__ import annotations
@@ -59,12 +62,15 @@ class ResourceLimitError(RuntimeError):
 
 _DEPTH_CAP = DEFAULT_DEPTH_CAP = 10000
 _SCAN_CAP = 1 << 27
-_CACHE_BUDGET = 1 << 30
+# Bytes one scan may take: n for each node it computes.
+_SCAN_BUDGET = 1 << 30
+# A node keeps its fold only when P + T is at most this; piece-free nodes
+# are decided from their fold by the proofs.
+_FOLD_LIMIT = 1 << 20
 # No bitmap is this long, so a node whose P + T passes it never folds; the
 # bound also keeps shape arithmetic on small integers.
 _SHAPE_BITS = 62
 _SHAPE_LIMIT = 1 << _SHAPE_BITS
-_cached_bytes = 0
 
 
 def set_depth_cap(cap: int) -> None:
@@ -72,26 +78,6 @@ def set_depth_cap(cap: int) -> None:
     if cap < 1:
         raise ValueError("depth cap must be positive")
     _DEPTH_CAP = cap
-
-
-def depth_cap() -> int:
-    return _DEPTH_CAP
-
-
-def set_scan_cap(cap: int) -> None:
-    global _SCAN_CAP
-    if cap < 1024:
-        raise ValueError("scan cap too small")
-    _SCAN_CAP = cap
-
-
-def purge_caches() -> None:
-    """Drop every membership cache; semantics are unaffected.  Shapes and
-    proved facts are about the expressions and stay."""
-    global _cached_bytes
-    for node in _INTERN.values():
-        node._bits = np.zeros(0, dtype=bool)
-    _cached_bytes = 0
 
 
 def pair(i: int, j: int) -> int:
@@ -121,7 +107,8 @@ class LazySet:
         self.children = children
         self.depth = depth
         self._text = None
-        self._bits = np.zeros(0, dtype=bool)
+        # the fold, membership over [0, P + T), or None
+        self._bits = None
         # (P, T) once known, False if P + T passes _SHAPE_LIMIT
         self._shape = None
         # (rule name, other node or None) -> whether the rules prove it
@@ -158,7 +145,7 @@ class LazySet:
         """Membership indicator over [0, n)."""
         if n > _SCAN_CAP:
             raise ResourceLimitError(f"scan bound {n} exceeds cap {_SCAN_CAP}")
-        return _grown(self, n)
+        return _scan(self, n)
 
     def member(self, n: int) -> bool:
         """Whether n is a member: one `bits` prefix to n + 1."""
@@ -169,21 +156,24 @@ class LazySet:
         below the scan cap (the set may be finite)."""
         if count <= 0:
             return []
-        n = min(max(1024, len(self._bits)), _SCAN_CAP)
-        while not _folded(self):
-            idx = np.flatnonzero(self.bits(n))
+        n = 1024
+        while True:
+            bits = self.bits(n)
+            if self._shape and sum(self._shape) <= n:
+                break
+            idx = np.flatnonzero(bits)
             if len(idx) >= count:
                 return idx[:count].tolist()
             if n >= _SCAN_CAP:
                 raise ResourceLimitError(
                     f"found only {len(idx)} elements of {self.expr} below {n}")
             n = min(2 * n, _SCAN_CAP)
-        # Folded: the members below P, then one period's members a whole
-        # number of periods on.  Count those below the cap before listing
-        # any, so a large count costs no more than the answer.
+        # The scan covers P + T: the members below P, then one period's
+        # members a whole number of periods on.  Count those below the cap
+        # before listing any, so a large count costs no more than the answer.
         p, t = self._shape
-        pre = np.flatnonzero(self._bits[:p])
-        period = p + np.flatnonzero(self._bits[p:p + t])
+        pre = np.flatnonzero(bits[:p])
+        period = p + np.flatnonzero(bits[p:p + t])
         q, r = divmod(max(_SCAN_CAP - p, 0), t)
         below = (np.count_nonzero(pre < _SCAN_CAP) + q * len(period)
                  + np.count_nonzero(period < p + r))
@@ -259,24 +249,38 @@ def escapes(x: LazySet, y: LazySet, lo: int, hi: int) -> np.ndarray:
 # Vectorized evaluation.  Iterative post-order walk, so deep expressions do
 # not hit the interpreter recursion limit.
 
-def _folded(node: LazySet) -> bool:
-    shape = node._shape
-    return bool(shape) and len(node._bits) >= shape[0] + shape[1]
+def _scan(root: LazySet, n: int) -> np.ndarray:
+    """Membership of root over [0, n): one post-order pass over the nodes
+    under root that keep no fold, each computed to min(n, P + T) in a memo
+    of this scan alone.  A node keeps its prefix only as a fold."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif node not in seen and node._bits is None:
+            seen.add(node)
+            stack.append((node, True))
+            stack += ((c, False) for c in node.children)
+    if len(order) * n > _SCAN_BUDGET:
+        raise ResourceLimitError(f"a scan of {len(order)} sets to {n} exceeds "
+                                 f"the budget of {_SCAN_BUDGET} bytes")
+    memo = {}
+    for node in order:
+        if node._shape is None:
+            node._shape = _learn_shape(node, memo)
+        shape = node._shape
+        m = min(n, sum(shape)) if shape else n
+        bits = memo[node] = _compute_bits(node, m, memo)
+        if shape and m == sum(shape) <= _FOLD_LIMIT:
+            node._bits = bits
+    return _prefix(root, n, memo)
 
 
-def _grown(node: LazySet, n: int) -> np.ndarray:
-    """Membership over [0, n), growing the cache as needed."""
-    if len(node._bits) < n and not _folded(node):
-        if _cached_bytes > _CACHE_BUDGET:
-            purge_caches()
-        _extend_bits(node, n)
-    return _prefix(node, n)
-
-
-def _prefix(node: LazySet, n: int) -> np.ndarray:
-    """Membership over [0, n) of a node that covers n or is folded: past
-    the cache, the period is tiled."""
-    bits = node._bits
+def _prefix(node: LazySet, n: int, memo: dict) -> np.ndarray:
+    """Membership over [0, n) of a node folded or computed in this scan:
+    past its prefix, the period is tiled."""
+    bits = memo[node] if node._bits is None else node._bits
     if n <= len(bits):
         return bits[:n]
     p, t = node._shape
@@ -291,34 +295,7 @@ def _prefix(node: LazySet, n: int) -> np.ndarray:
     return out
 
 
-def _extend_bits(root: LazySet, n: int) -> None:
-    order = []
-    seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for c in node.children:
-            if len(c._bits) < n and not _folded(c):
-                stack.append((c, False))
-    global _cached_bytes
-    for node in order:
-        if node._shape is None:
-            node._shape = _learn_shape(node)
-        m = min(n, sum(node._shape)) if node._shape else n
-        if len(node._bits) < m:
-            _cached_bytes -= node._bits.nbytes
-            node._bits = _compute_bits(node, m)
-            _cached_bytes += node._bits.nbytes
-
-
-def _learn_shape(node: LazySet):
+def _learn_shape(node: LazySet, memo: dict):
     """(P, T) of `node`, False if P + T passes _SHAPE_LIMIT, or None while
     a child's shape or a piece's count per period is still unknown."""
     kind = node.kind
@@ -332,12 +309,13 @@ def _learn_shape(node: LazySet):
         shape = (b, a)
     elif kind == "piece":
         parent = node.children[0]
-        if parent._shape is False:
-            return False
-        if not _folded(parent):
-            return None
+        if not parent._shape:
+            return parent._shape
         p, t = parent._shape
-        c = int(np.count_nonzero(parent._bits[p:p + t]))
+        bits = memo.get(parent, parent._bits)
+        if len(bits) < p + t:
+            return None
+        c = int(np.count_nonzero(bits[p:p + t]))
         if c == 0:
             return (p, 1)
         # T * 2^(i+1) / gcd(c, 2^(i+1)) = T * 2^(i+1 - min(v2(c), i+1))
@@ -354,7 +332,7 @@ def _learn_shape(node: LazySet):
     return shape
 
 
-def _compute_bits(node: LazySet, n: int) -> np.ndarray:
+def _compute_bits(node: LazySet, n: int, memo: dict) -> np.ndarray:
     kind = node.kind
     if kind == "empty":
         return np.zeros(n, dtype=bool)
@@ -369,13 +347,13 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
         if b < n:
             out[b::a] = True
         return out
-    x = _prefix(node.children[0], n)
+    x = _prefix(node.children[0], n, memo)
     if kind == "union":
-        return x | _prefix(node.children[1], n)
+        return x | _prefix(node.children[1], n, memo)
     if kind == "inter":
-        return x & _prefix(node.children[1], n)
+        return x & _prefix(node.children[1], n, memo)
     if kind == "diff":
-        return x & ~_prefix(node.children[1], n)
+        return x & ~_prefix(node.children[1], n, memo)
     if kind == "piece":
         i = min(node.nats[0], n.bit_length())   # a larger i picks no rank <= n either
         out = np.zeros(n, dtype=bool)
@@ -392,10 +370,6 @@ def _compute_bits(node: LazySet, n: int) -> np.ndarray:
 # `infinite` question asks that only of shallower nodes, so the search
 # ends.  It runs on an explicit stack of rule generators, each yielding the
 # questions it needs answered, so deep expressions do not recurse.
-
-# Piece-free nodes whose P + T is at most this are decided from their fold.
-_FOLD_LIMIT = 1 << 20
-
 
 def subset(a: LazySet, b: LazySet) -> bool:
     """Whether the rules prove every member of a a member of b."""
@@ -441,6 +415,8 @@ def _slot(rule, a, b):
 def _subset_rules(a, b):
     if a is b or a.kind == "empty":
         return True
+    if a.kind == b.kind == "rows" and a.nats <= b.nats:
+        return True                         # rows(m) ⊆ rows(n) for m ≤ n
     spine = _union_tree(b)
     if a in spine:                          # x ⊆ union(x, y)
         return True
@@ -494,6 +470,8 @@ def _infinite_rules(s, _):
         # summand of a, or for a parent p of pieces in b's union, the first
         # piece of p past them
         a, b = s.children
+        if a.kind == b.kind == "rows" and a.nats > b.nats:
+            return True     # diff(rows(n), rows(m)) holds pair(m, j) for every j
         last = {}
         for n in _union_tree(b):
             if n.kind == "piece":
@@ -559,7 +537,7 @@ def _fold(*nodes):
             seen.update(fresh)
             stack += fresh
         if node._shape is None:
-            _grown(node, 1)                 # learns the shapes below node
+            _scan(node, 1)                  # learns the shapes below node
         shapes.append(node._shape)
     if not all(shapes):
         return None
@@ -567,7 +545,10 @@ def _fold(*nodes):
     n = p + math.lcm(*(shape[1] for shape in shapes))
     if n > _FOLD_LIMIT:
         return None
-    return (p, *(_grown(node, n) for node in nodes))
+    try:
+        return (p, *(_scan(node, n) for node in nodes))
+    except ResourceLimitError:              # too many sets to scan at once
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import ordchain.lazyset as lazyset
 
 
 @pytest.fixture(autouse=True)
-def restore_lazyset_caps():
-    """Put back the depth and scan caps a test may have lowered: the depth
-    cap holds for interned sets too, so a low cap left behind would break
-    later tests that reuse them."""
-    depth, scan = lazyset.depth_cap(), lazyset._SCAN_CAP
+def restore_depth_cap():
+    """Put back the depth cap a test or a CLI run may have lowered: the cap
+    holds for interned sets too, so a low cap left behind would break later
+    tests that reuse them.  Tests lower the scan cap through monkeypatch."""
+    depth = lazyset._DEPTH_CAP
     yield
     lazyset.set_depth_cap(depth)
-    lazyset.set_scan_cap(scan)

@@ -230,10 +230,10 @@ def random_certificate(rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_verify_matches_reference_on_random_certificates(seed):
+def test_verify_matches_reference_on_random_certificates(seed, monkeypatch):
     """Random small certificates: bounds 0-8 and depths 1-40."""
     rng = random.Random(1200 + seed)
-    lazyset.set_scan_cap(1 << 16)       # put back by conftest.py
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", 1 << 16)
     seen = set()
     for _ in range(400):
         cert = random_certificate(rng)
@@ -248,9 +248,7 @@ def test_verify_matches_reference_under_low_scan_cap(monkeypatch):
     sparse = piece(diff(rows(1), empty()), 11)      # one element, 4094, below 2^12
     corpus = oracle_corpus() + [default_certificate(empty(), sparse, 0)]
     beyond = default_certificate(MULT4, EVENS, 1 << 12)
-    # caches longer than the cap would make every scan refuse at once
-    lazyset.purge_caches()
-    lazyset.set_scan_cap(1 << 12)
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", 1 << 12)
     # the probe alone: the cap cuts it short, as it cuts the reference
     with monkeypatch.context() as m:
         m.setattr(certs, "subset", lambda a, b: False)

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -297,6 +298,61 @@ def test_embed_finite_bound_scans_in_bounded_memory():
     assert int(rss) < 1024 * 1024
 
 
+# tree addresses k, k,1, k,2,1 and k,0,3 and splits of (rows(k), rows(k+1))
+# for k <= 70, past the fold range from 20 on, and pair runs with their
+# certificates
+PROVED_RUNS = (
+    [("tree", "--address", f"{k}{rest}")
+     for k in range(71) for rest in ("", ",1", ",2,1", ",0,3")]
+    + [("split", "--interval", f"rows({k}),rows({k + 1})") for k in range(71)]
+    + [(command, "--ordinal", xi, *extra) for xi in ("w^(2)", "w^(w)", "w*3+2")
+       for command, extra in (("embed", ("--interval", "rows(20),rows(21)")),
+                              ("baire", ()))])
+
+
+def test_constructions_are_proved_with_the_probe_off(capsys, monkeypatch):
+    # with rows(m) ⊆ rows(n) and diff(rows(n), rows(m)) infinite proved,
+    # no construction certificate reads a bitmap: from rows(20) on they
+    # were probed, and true ones FAILed with their surplus exhausted
+    def probe(s, n):
+        raise AssertionError(f"probed {s.expr}")
+    monkeypatch.setattr(lazyset.LazySet, "bits", probe)
+    monkeypatch.setattr(lazyset.LazySet, "first_n", probe)
+    assert len(PROVED_RUNS) == 361
+    for argv in PROVED_RUNS:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[-1].split()[-2:]) == (0, ["FAILED", "0"]), argv
+
+
+def limit_address_space():
+    """Run in the child alone, between fork and exec: 3 GiB of address
+    space, so a scan that would take more memory fails in the child."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("depth", [100, 400, 1000])
+def test_deep_certificate_keeps_the_exit_contract_in_bounded_memory(tmp_path, depth):
+    # the surplus piece(s,1) minus s is empty, so the probe doubles its scan
+    # over every node under it: at 400 and 1,000 levels that took n bytes a
+    # node at once and died with a numpy traceback; now the scan is charged
+    # first and refused
+    s = lazyset.ap(2, 0)
+    for i in range(depth):
+        s = (lazyset.union(s, lazyset.ap(3, i)) if i % 4 == 0 else
+             lazyset.inter(lazyset.ap(1, i), s) if i % 4 == 1 else
+             lazyset.diff(s, lazyset.ap(5, i)) if i % 4 == 2 else
+             lazyset.piece(s, 0))
+    cert = certs.default_certificate(s, lazyset.piece(s, 1), 0)
+    path = write(tmp_path, "deep.cert", cert.serialize() + "\n")
+    src = str(Path(ordchain.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN, "verify", "--cert", path, "--depth", "4"],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode in (0, 1, 2)
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, checked", [
     (("tree", "--address", "6,6,6", "--a", "1", "--b", "3", "--depth", "8"), 4),
     (("embed", "--ordinal", "23", "--pairs", "40", "--seed", "1"), 40),
@@ -496,7 +552,7 @@ def test_baire_checks_what_embed_checks(capsys, monkeypatch, ordinal, pairs,
     # run out, so FAIL lines appear too
     if scan_cap is not None:
         monkeypatch.setattr(certs, "subset", lambda a, b: False)
-        lazyset.set_scan_cap(scan_cap)
+        monkeypatch.setattr(lazyset, "_SCAN_CAP", scan_cap)
     argv = ["--ordinal", ordinal, "--pairs", pairs, "--depth", depth,
             "--seed", seed]
     embed_code, embed_out, _ = run(capsys, "embed", *argv)
@@ -635,7 +691,7 @@ def test_depth_cap_env_applies(capsys, monkeypatch):
     monkeypatch.setenv("TC_DEPTH_CAP", "50000")
     code, _, _ = run(capsys, "embed", "--ordinal", "0")
     assert code == 0
-    assert lazyset.depth_cap() == 50000
+    assert lazyset._DEPTH_CAP == 50000
 
 
 def test_depth_cap_resets_once_env_is_unset(capsys, monkeypatch):

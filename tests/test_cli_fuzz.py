@@ -62,11 +62,11 @@ def notations(nesting):
 @given(commands, notations(2))
 def test_small_notations_keep_the_exit_contract(command, xi):
     # Pairs whose surplus starts past the scan cap FAIL (exit 1) at any cap;
-    # a low one keeps their scans, and the caches those leave in this
-    # process, small.  The fixture in conftest.py puts the cap back.
-    lazyset.set_scan_cap(1 << 20)
-    check_contract([command, "--ordinal", format_ordinal(xi),
-                    "--pairs", "2", "--depth", "4"])
+    # a low one keeps their scans small.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lazyset, "_SCAN_CAP", 1 << 20)
+        check_contract([command, "--ordinal", format_ordinal(xi),
+                        "--pairs", "2", "--depth", "4"])
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +106,10 @@ VALID_CERTS = st.builds("cert{{m={}, lower={}, upper={}}}\n".format,
 @given(CERT_TEXT | VALID_CERTS, st.integers(0, 8))
 def test_certificate_files_keep_the_exit_contract(input_file, text, depth):
     # a surplus that is finite or sparse FAILs (exit 1) at any cap; a low
-    # one keeps the scans small.  conftest.py puts the cap back.
-    lazyset.set_scan_cap(1 << 16)
-    check_contract(["verify", "--cert", input_file(text), "--depth", str(depth)])
+    # one keeps the scans small.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lazyset, "_SCAN_CAP", 1 << 16)
+        check_contract(["verify", "--cert", input_file(text), "--depth", str(depth)])
 
 
 SPACE_TEXT = st.text(alphabet="points dist order 0123456789/-#\n", max_size=60)

@@ -317,17 +317,25 @@ FAR = 1 << 19
 CAPS = (1 << 27, 1 << 14, 1 << 20)
 
 
+def assert_keeps_only_short_folds(root):
+    """Every node under root keeps nothing, or its fold: P + T members,
+    with P + T at most the fold limit."""
+    for node in post_order(root):
+        if node._bits is not None:
+            assert len(node._bits) == sum(node._shape) <= lazyset._FOLD_LIMIT
+
+
 @pytest.mark.parametrize("seed", [5, 6])
-def test_folded_path_matches_reference(seed):
+def test_folded_path_matches_reference(seed, monkeypatch):
     rng = random.Random(seed)
     exprs = [random_expr(rng, 5) for _ in range(30)]
     refs = [reference_bits(s, 1 << 20) for s in exprs]
     probes = sorted(rng.sample(range(FAR), 60)) + [FAR - 1, (1 << 20) - 1]
-    # warm (sets may be shared with earlier tests), then after a purge with
-    # the caps in the other order, so caches built under one cap meet another
+    # warm (sets may be shared with earlier tests), then with the caps in
+    # the other order, so folds made under one cap meet another
     for caps in (CAPS, CAPS[::-1]):
         for cap in caps:
-            lazyset.set_scan_cap(cap)
+            monkeypatch.setattr(lazyset, "_SCAN_CAP", cap)
             edge = [cap - 1, cap] if cap <= 1 << 20 else []
             for s, ref in zip(exprs, refs):
                 for n in probes + edge:
@@ -338,39 +346,56 @@ def test_folded_path_matches_reference(seed):
                 for count in (1, 7, 64, 3000):
                     assert outcome(s.first_n, count) == \
                         outcome(reference_first_n, ref, s.expr, count)
-        lazyset.purge_caches()
-    # a folded node caches one preperiod plus one period, no more
-    lazyset.set_scan_cap(CAPS[0])
+    # after a scan, a node keeps one preperiod plus one period, or nothing
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", CAPS[0])
     folded = 0
     for s in exprs:
         s.bits(FAR)
-        for node in post_order(s):
-            if node._shape:
-                assert len(node._bits) <= sum(node._shape)
-        folded += bool(s._shape) and sum(s._shape) <= FAR // 4
+        assert_keeps_only_short_folds(s)
+        folded += s._bits is not None and sum(s._shape) <= FAR // 4
     assert folded >= len(exprs) // 3
 
 
 def test_periods_past_any_bitmap_never_fold():
     # periods 2^100 and 2^71: the shape is marked as never folding, and the
-    # node (and every set built on it) keeps growing a plain prefix
+    # node (and every set built on it) keeps nothing between scans
     sets = [rows(100), piece(rows(100), 3), piece(ap(1, 0), 70),
             union(piece(ap(1, 0), 70), ap(2, 0))]
     for s in sets:
         assert members_upto(s, 3000) == slow_members(s, 3000)
-        assert s._shape is False and len(s._bits) >= 3000
+        assert s._shape is False and s._bits is None
+        assert_keeps_only_short_folds(s)
 
 
 def test_point_probe_builds_no_long_prefix():
-    s = ap(10 ** 8, 3)
+    # P + T past the fold limit: a probe keeps nothing, and one under it
+    # keeps the fold once a scan covers P + T
+    s, short = ap(10 ** 8, 3), ap(1000, 3)
     assert s.member(3) and not s.member(5)
-    assert len(s._bits) <= 1024
+    assert short.member(3) and not short.member(5)
+    assert s._bits is None and short._bits is None
+    assert short.member(1003)
+    assert len(short._bits) == 1003 and s._bits is None
 
 
-def test_first_n_raises_on_finite_set():
+def test_scan_budget_refuses_before_it_allocates(monkeypatch):
+    s = ap(2, 0)
+    for i in range(300):
+        s = union(s, ap(1024, i))
+    # about 600 sets, none folded before a scan covers its P + T: n bytes each
+    monkeypatch.setattr(lazyset, "_SCAN_BUDGET", 1 << 19)
+    # a proof whose fold is over the budget proves nothing, and raises nothing
+    assert not lazyset.infinite(s)
+    with pytest.raises(ResourceLimitError, match="sets to 16384 exceeds the budget"):
+        s.bits(1 << 14)
+    assert s.member(500) and not s.member(501)
+    assert_keeps_only_short_folds(s)
+
+
+def test_first_n_raises_on_finite_set(monkeypatch):
     finite = diff(ap(1, 0), ap(1, 3))           # {0, 1, 2}
     assert members_upto(finite, 100) == [0, 1, 2]
-    lazyset.set_scan_cap(1 << 14)
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", 1 << 14)
     with pytest.raises(ResourceLimitError):
         finite.first_n(4)
 
@@ -384,8 +409,8 @@ def test_first_n_past_the_cap_on_folded_set():
     assert ap(3, 1).first_n(10 ** 6 + 1)[10 ** 6] == 3 * 10 ** 6 + 1
 
 
-def test_scan_cap_enforced():
-    lazyset.set_scan_cap(1 << 12)
+def test_scan_cap_enforced(monkeypatch):
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", 1 << 12)
     with pytest.raises(ResourceLimitError):
         ap(2, 0).bits(1 << 13)
 
@@ -410,13 +435,6 @@ def test_depth_cap_holds_for_interned_sets():
         union(s.children[0], s.children[1])
     with pytest.raises(ResourceLimitError):
         parse_set(s.expr)
-
-
-def test_purge_caches_is_invisible():
-    s = diff(rows(3), ap(3, 0))
-    before = members_upto(s, 3000)
-    lazyset.purge_caches()
-    assert members_upto(s, 3000) == before
 
 
 def test_interning():
@@ -444,11 +462,15 @@ PROOF_SPAN = 1 << 14
 
 
 def proof_pool(rng, depth):
-    """The nodes of a random expression, and of a split of two of them: z_0
-    = x ∩ y and z_{k+1} = z_k ∪ piece k of y minus x, the shape every
-    certificate's sets take."""
+    """The nodes of a random expression, and of a split of two of them, or
+    of two rows leaves up to rows(24), past the fold range: z_0 = x ∩ y and
+    z_{k+1} = z_k ∪ piece k of y minus x, the shape every certificate's
+    sets take."""
     nodes = post_order(random_expr(rng, depth))
-    x, y = rng.choice(nodes), rng.choice(nodes)
+    if rng.random() < 0.5:
+        x, y = rows(rng.randint(1, 24)), rows(rng.randint(1, 24))
+    else:
+        x, y = rng.choice(nodes), rng.choice(nodes)
     z = inter(x, y)
     for k in range(3):
         z = union(z, piece(diff(y, x), k))
