@@ -24,9 +24,9 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .lazyset import (LazySet, ResourceLimitError, SetParseError, ap, diff,
-                      disjoint, infinite, inter, parse_set, piece, rows,
-                      subset, union)
+from .lazyset import (LazySet, ResourceLimitError, SetParseError, _ScanRefused,
+                      ap, diff, disjoint, infinite, inter, parse_set, piece,
+                      rows, subset, union)
 from .ordinal import (ONE, Ordinal, compare, fundamental_index,
                       fundamental_sequence, left_subtract)
 
@@ -111,6 +111,8 @@ def verify_certificate(cert: OrderCertificate, depth: int) -> Optional[str]:
         return None
     try:
         surplus = cert.surplus.first_n(depth)
+    except _ScanRefused as exc:
+        return f"scan refused: {exc}"
     except ResourceLimitError as exc:
         return f"surplus exhausted: {exc}"
     probe = max(cert.bound, surplus[-1], 4 * depth) + 1
@@ -296,9 +298,9 @@ class OrdinalEmbedding:
 
     A notation's slot is read off its terms, so a large coefficient costs
     nothing up front, and a slot's start and sub-embedding are built once a
-    query lands in the slot, and kept.  Slot indices stay proportional to
-    the coefficients along a notation's term list, which keeps the derived
-    surplus sets scannable.
+    query lands in the slot, and kept.  Slot indices grow with the
+    coefficients along a notation's term list; the certificates of large
+    slots are proved from their structure and not probed.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate,

@@ -60,6 +60,10 @@ class ResourceLimitError(RuntimeError):
     """An expression exceeded a configured depth or scan budget."""
 
 
+class _ScanRefused(ResourceLimitError):
+    """A scan would take more than _SCAN_BUDGET bytes."""
+
+
 _DEPTH_CAP = DEFAULT_DEPTH_CAP = 10000
 _SCAN_CAP = 1 << 27
 # Bytes one scan may take: n for each node it computes.
@@ -153,7 +157,8 @@ class LazySet:
 
     def first_n(self, count: int):
         """The `count` smallest elements; ResourceLimitError if fewer lie
-        below the scan cap (the set may be finite)."""
+        below the scan cap (the set may be finite), or if a scan is over
+        budget."""
         if count <= 0:
             return []
         n = 1024
@@ -263,8 +268,8 @@ def _scan(root: LazySet, n: int) -> np.ndarray:
             stack.append((node, True))
             stack += ((c, False) for c in node.children)
     if len(order) * n > _SCAN_BUDGET:
-        raise ResourceLimitError(f"a scan of {len(order)} sets to {n} exceeds "
-                                 f"the budget of {_SCAN_BUDGET} bytes")
+        raise _ScanRefused(f"a scan of {len(order)} sets to {n} exceeds "
+                           f"the budget of {_SCAN_BUDGET} bytes")
     memo = {}
     for node in order:
         if node._shape is None:
@@ -554,90 +559,65 @@ def _fold(*nodes):
 # ---------------------------------------------------------------------------
 # Grammar.
 
-_SET_TOKEN = re.compile(r"\s*(\d+|[a-z]+|\(|\)|,)")
+# A numeral, a word, or any other single character: a stray character is a
+# token that no rule accepts.
+_SET_TOKEN = re.compile(r"\d+|[a-z]+|\S")
+
+# constructor -> (set operands, natural operands, factory); `LazySet.expr`
+# writes the sets first
+_GRAMMAR = {"empty": (0, 0, empty), "rows": (0, 1, rows), "ap": (0, 2, ap),
+            "union": (2, 0, union), "inter": (2, 0, inter),
+            "diff": (2, 0, diff), "piece": (1, 1, piece)}
 
 
 def parse_set(text: str) -> LazySet:
     """Parse the grammar above.  Constructors still awaiting operands wait
     on an explicit stack, so nesting is bounded by the depth cap and not by
     the interpreter's recursion limit."""
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _SET_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise SetParseError(f"bad character in set expression: {text[pos:]!r}")
-            break
-        toks.append(m.group(1))
-        pos = m.end()
-    # [constructor, left operand or None] per open compound expression
-    stack, i = [], 0
+    toks = _SET_TOKEN.findall(text)
+    toks.append("")                 # the end of input, which no rule accepts
+    # (set operands, natural operands, factory, operands read) per open
+    # constructor, over a root whose one set operand is the whole text
+    stack, i = [(1, 0, None, [])], 0
     while True:
-        if i >= len(toks):
-            raise SetParseError("unexpected end of input")
-        head = toks[i]
-        if head in _COMPOUND:
-            i = _expect(toks, i + 1, "(")
-            stack.append([head, None])
+        sets, nats, make, args = stack[-1]
+        n = len(args)
+        if n == sets + nats:        # every operand read: build the node
+            if make is None:
+                break
+            if n:                   # `empty` takes no parentheses
+                i = _expect(toks, i, ")")
+            stack.pop()
+            try:
+                stack[-1][3].append(make(*args))
+            except ValueError as exc:   # ap(0, b)
+                raise SetParseError(str(exc)) from None
             continue
-        node, i = _parse_leaf(toks, i)
-        # close every compound whose last set operand is now complete
-        while stack and (stack[-1][0] == "piece" or stack[-1][1] is not None):
-            head, left = stack.pop()
-            if head == "piece":
-                i = _expect(toks, i, ",")
-                k, i = _nat(toks, i)
-                node = piece(node, k)
-            else:
-                node = _COMPOUND[head](left, node)
-            i = _expect(toks, i, ")")
-        if not stack:
-            break
-        stack[-1][1] = node
-        i = _expect(toks, i, ",")
-    if i != len(toks):
-        raise SetParseError(f"trailing input: {toks[i:]}")
-    return node
-
-
-_COMPOUND = {"union": union, "inter": inter, "diff": diff, "piece": piece}
+        if n:
+            i = _expect(toks, i, ",")
+        tok = toks[i]
+        i += 1
+        if n >= sets:
+            if not tok.isdecimal():
+                raise SetParseError(
+                    f"expected a natural number, got {tok or 'end of input'!r}")
+            try:
+                args.append(int(tok))
+            except ValueError as exc:   # past Python's int-conversion digit limit
+                raise SetParseError(str(exc)) from None
+        elif tok in _GRAMMAR:
+            entry = _GRAMMAR[tok]
+            if entry[0] + entry[1]:
+                i = _expect(toks, i, "(")
+            stack.append((*entry, []))
+        else:
+            raise SetParseError(f"expected a set, got {tok or 'end of input'!r}")
+    if toks[i]:
+        raise SetParseError(f"trailing input at {toks[i]!r}")
+    return args[0]
 
 
 def _expect(toks, i, tok):
-    if i >= len(toks) or toks[i] != tok:
-        got = toks[i] if i < len(toks) else "end of input"
-        raise SetParseError(f"expected {tok!r}, got {got!r}")
+    if toks[i] != tok:
+        raise SetParseError(f"expected {tok!r}, got {toks[i] or 'end of input'!r}")
     return i + 1
-
-
-def _nat(toks, i):
-    if i >= len(toks) or not toks[i].isdigit():
-        raise SetParseError("expected a natural number")
-    try:
-        return int(toks[i]), i + 1
-    except ValueError as exc:   # past Python's int-conversion digit limit
-        raise SetParseError(str(exc)) from None
-
-
-def _parse_leaf(toks, i):
-    """An expression with no set operand: empty, rows(k) or ap(a,b)."""
-    head = toks[i]
-    i += 1
-    if head == "empty":
-        return empty(), i
-    if head == "rows":
-        i = _expect(toks, i, "(")
-        k, i = _nat(toks, i)
-        i = _expect(toks, i, ")")
-        return rows(k), i
-    if head == "ap":
-        i = _expect(toks, i, "(")
-        a, i = _nat(toks, i)
-        i = _expect(toks, i, ",")
-        b, i = _nat(toks, i)
-        i = _expect(toks, i, ")")
-        try:
-            return ap(a, b), i
-        except ValueError as exc:
-            raise SetParseError(str(exc)) from exc
-    raise SetParseError(f"unknown constructor {head!r}")

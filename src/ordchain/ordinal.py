@@ -209,25 +209,14 @@ def fundamental_index(a: Ordinal, b: Ordinal) -> int:
 #   term := nat | "w" ("*" nat)? | "w^(" ord ")" ("*" nat)?
 # Whitespace-insensitive; non-canonical input is rejected.
 
-_TOKEN = re.compile(r"\s*(\d+|w|\^|\(|\)|\*|\+)")
+# A numeral or any other single character: a stray character is a token
+# that no rule accepts.
+_TOKEN = re.compile(r"\d+|\S")
 
 # Deepest "w^(" nesting that parses.  Only parsing, formatting and pickling
 # recurse per level: called from 120 frames deep under CPython 3.11's default
 # limit, they first fail at 435, 874 and 217 levels.
 MAX_NESTING = 100
-
-
-def _tokenize(text: str):
-    out, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise OrdinalParseError(f"bad character at {pos!r}: {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
 
 
 class _Parser:
@@ -257,16 +246,16 @@ class _Parser:
         while self.peek() == "+":
             self.take("+")
             terms.append(self.term())
-        for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if compare(e1, e2) != GT:
-                raise OrdinalParseError("non-canonical: exponents must strictly decrease")
-        return Ordinal(tuple(terms))
+        try:
+            return Ordinal(terms)
+        except ValueError as exc:   # exponents not strictly decreasing
+            raise OrdinalParseError(f"non-canonical: {exc}") from None
 
     def term(self) -> Tuple[Ordinal, int]:
         t = self.peek()
         if t is None:
             raise OrdinalParseError("unexpected end of input")
-        if t.isdigit():
+        if t.isdecimal():
             return (ZERO, self.positive("zero term not allowed"))
         self.take("w")
         exponent = ONE
@@ -292,21 +281,21 @@ class _Parser:
         """The next token as a positive natural; else `message` is the error."""
         t = self.take()
         try:
-            n = int(t) if t.isdigit() else 0
+            n = int(t) if t.isdecimal() else 0
         except ValueError as exc:   # past Python's int-conversion digit limit
             raise OrdinalParseError(str(exc)) from None
         if n == 0:
-            raise OrdinalParseError(message)
+            raise OrdinalParseError(f"{message}, got {t!r}")
         return n
 
 
 def parse_ordinal(text: str) -> Ordinal:
-    p = _Parser(_tokenize(text))
+    p = _Parser(_TOKEN.findall(text))
     if not p.toks:
         raise OrdinalParseError("empty input")
     result = p.ordinal()
     if p.peek() is not None:
-        raise OrdinalParseError(f"trailing input: {p.toks[p.i:]}")
+        raise OrdinalParseError(f"trailing input at {p.peek()!r}")
     return result
 
 

@@ -1,8 +1,10 @@
 """Deterministic random sampling of ordinal notations.
 
-Sampled notations are kept small on purpose: piece indices in the split
-construction scale with the coefficients along a notation's term list, so
-large coefficients make surplus elements astronomically sparse.
+Draws come from `random_notation`'s fixed range: below w^5, with
+coefficients at most 2 and a trailing natural at most 3.  Probing no longer
+needs the range, as the certificates of larger notations are proved from
+their structure and not probed.  Drawing from the whole bound is an open
+item in ROADMAP.md, "Sample pairs from the whole bound".
 """
 
 from __future__ import annotations

@@ -77,6 +77,17 @@ def test_verify_reports_exhausted_surplus():
         "surplus exhausted: found only 2 elements of ")
 
 
+def test_verify_reports_a_refused_scan_as_refused(monkeypatch):
+    # four unfolded sets (sets no other test builds, so none keeps a fold
+    # the budget would skip) scanned to 1024 take 4096 bytes, over budget;
+    # at the default budget the probe finds the false claim at 9,940
+    s = ap(1, 9939)
+    bad = default_certificate(piece(s, 1), piece(s, 0), 0)
+    monkeypatch.setattr(lazyset, "_SCAN_BUDGET", 1 << 11)
+    assert verify_certificate(bad, 4) == ("scan refused: a scan of 4 sets to "
+                                          "1024 exceeds the budget of 2048 bytes")
+
+
 def test_surplus_outside_upper_is_reported_before_lower():
     # 1 lies in lower and outside upper (the bound allows it)
     bad = OrderCertificate(union(MULT4, singleton(1)), EVENS, 2, ap(1, 1))

@@ -34,7 +34,7 @@ commands = st.sampled_from(["embed", "baire"])
 
 
 @settings(derandomize=True, deadline=None, database=None)
-@given(commands, st.text(alphabet="w^()*+0123456789 ", max_size=30))
+@given(commands, st.text(alphabet="w^()*+0123456789 x²{", max_size=30))
 def test_any_ordinal_text_keeps_the_exit_contract(command, text):
     check_contract([command, f"--ordinal={text}", "--pairs", "0"])
 

@@ -9,6 +9,7 @@ constructors are also checked against direct formulas.
 import copy
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -515,6 +516,16 @@ def test_parse_set_whitespace():
         union(rows(1), ap(2, 1))
 
 
+def test_parse_set_any_whitespace_between_tokens():
+    rng = random.Random(5)
+    spaces = ["", "", " ", "  ", "\t", "\n", "\r\n ", "\u00a0", "\u2003"]
+    for seed in range(40):
+        for node in post_order(random_expr(random.Random(seed), 4)):
+            toks = re.findall(r"\w+|\S", node.expr)
+            text = "".join(rng.choice(spaces) + t for t in toks) + rng.choice(spaces)
+            assert parse_set(text) is node
+
+
 def test_parse_set_deep_nesting():
     # well past the interpreter's recursion limit, well within the depth cap
     s = ap(2, 0)
@@ -529,7 +540,9 @@ def test_parse_set_deep_nesting():
 @pytest.mark.parametrize("bad", [
     "", "rows", "rows()", "rows(x)", "ap(0,1)", "ap(2)", "frobnicate(1)",
     "union(rows(1))", "rows(1) rows(2)", "piece(rows(1))", "rows(1),",
-    "union(rows(1),rows(2)", "rows(-1)",
+    "union(rows(1),rows(2)", "rows(-1)", "rows(ap(1,0))", "union(rows(1),2)",
+    "piece(3,rows(1))", "piece(rows(1),ap(1,0))", "empty()", "ap(1,2,3)",
+    "rows(1)}", "ROWS(1)", "rows(²)",
 ])
 def test_parse_set_rejects(bad):
     with pytest.raises(SetParseError):

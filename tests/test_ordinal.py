@@ -89,6 +89,7 @@ def test_parse_whitespace_insensitive():
 @pytest.mark.parametrize("bad", [
     "", "w^(0)", "w^(1)", "0 + 1", "1 + w", "w + w", "w*0", "0*3",
     "w^(2", "w + ", "q", "w^(2) + w^(2)", "w^(2) + w^(3)", "5 + 3",
+    "w+x", "W", "w^(²)", "w*①", "w^(w)x",
 ])
 def test_parse_rejects_non_canonical(bad):
     with pytest.raises(OrdinalParseError):
