@@ -7,7 +7,9 @@ of lower outside upper is < m) together with a surplus set, infinitely many
 elements of upper that avoid lower.  Certificates are proved from the
 structure of their sets where the rules of `lazyset` allow, are checkable
 otherwise to any finite depth, from one prefix of each of their sets, and
-compose transitively.
+compose transitively.  A certificate serializes as
+``cert{m=<nat>, lower=<set>, upper=<set>}``, and is read back by the set
+grammar's reader from its template, `OrderCertificate.TEMPLATE`.
 
 On top of the certificates this module builds:
 
@@ -20,13 +22,12 @@ On top of the certificates this module builds:
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .lazyset import (LazySet, ResourceLimitError, SetParseError, _ScanRefused,
-                      ap, diff, disjoint, infinite, inter, parse_set, piece,
-                      rows, subset, union)
+from .lazyset import (NAT, SET, LazySet, ResourceLimitError, _ScanRefused, ap,
+                      diff, disjoint, infinite, inter, parse_text, piece, rows,
+                      subset, union)
 from .ordinal import (ONE, Ordinal, compare, fundamental_index,
                       fundamental_sequence, left_subtract)
 
@@ -58,6 +59,10 @@ class OrderCertificate:
             raise TypeError(
                 f"surplus must be a LazySet, not {type(self.surplus).__name__}")
 
+    # the text `serialize` writes, as a template of `lazyset.parse_text`
+    TEMPLATE = ("cert", "{", "m", "=", NAT, ",", "lower", "=", SET, ",",
+                "upper", "=", SET, "}")
+
     def serialize(self) -> str:
         return f"cert{{m={self.bound}, lower={self.lower.expr}, upper={self.upper.expr}}}"
 
@@ -67,21 +72,10 @@ def default_certificate(lower: LazySet, upper: LazySet, bound: int) -> OrderCert
     return OrderCertificate(lower, upper, bound, diff(upper, lower))
 
 
-_CERT_RE = re.compile(
-    r"\s*cert\s*\{\s*m\s*=\s*(\d+)\s*,\s*lower\s*=(.*?),\s*upper\s*=(.*)\}\s*$",
-    re.DOTALL)
-
-
 def parse_certificate(text: str) -> OrderCertificate:
-    m = _CERT_RE.match(text)
-    if not m:
-        raise SetParseError("expected cert{m=<nat>, lower=<set>, upper=<set>}")
-    try:
-        bound = int(m.group(1))
-    except ValueError as exc:   # past Python's int-conversion digit limit
-        raise SetParseError(str(exc)) from None
-    lower = parse_set(m.group(2))
-    upper = parse_set(m.group(3))
+    """The certificate `serialize` writes, with any whitespace between
+    tokens; its surplus is upper \\ lower."""
+    bound, lower, upper = parse_text(text, OrderCertificate.TEMPLATE)
     return default_certificate(lower, upper, bound)
 
 

@@ -21,7 +21,7 @@ from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
                     OrdinalEmbedding, SplitChain, default_certificate,
                     default_interval, parse_certificate, tree_split,
                     verify_certificate)
-from .lazyset import ResourceLimitError, SetParseError, parse_set
+from .lazyset import SET, ResourceLimitError, SetParseError, parse_text
 from .metric import (ContChain, MetricAxiomError, SpaceParseError,
                      format_eval, load_space)
 from .ordinal import OrdinalParseError, format_ordinal, parse_ordinal
@@ -88,24 +88,11 @@ def _report(checks: Iterable[Tuple[str, Optional[str]]]) -> int:
     return 0 if report.ok else 1
 
 
-def _split_interval_arg(text: str):
-    """Split 'setA,setB' at the top-level comma."""
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return text[:i], text[i + 1:]
-    raise SetParseError("interval needs two comma-separated set expressions")
-
-
 def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
     if arg is None:
         return default_interval()
-    lo, hi = _split_interval_arg(arg)
-    return default_certificate(parse_set(lo), parse_set(hi), bound)
+    lower, upper = parse_text(arg, (SET, ",", SET))
+    return default_certificate(lower, upper, bound)
 
 
 def _pair_checks(args, interval: Optional[str], bound: int, check) -> int:

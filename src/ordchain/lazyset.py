@@ -6,6 +6,11 @@ Sets are closed expression trees over a small constructor grammar:
          | "union(" set "," set ")" | "inter(" set "," set ")"
          | "diff(" set "," set ")" | "piece(" set "," nat ")"
 
+One reader, `parse_text`, reads a text as a template of literal tokens and
+SET and NAT slots, each constructor's being the tokens after its name, so a
+certificate and an interval pair are read as a set is.  Any whitespace may
+sit between tokens, and a parse error names the token where reading stopped.
+
 `rows(k)` is the union of the first k rows of the pairing bijection
 <i,j> = 2^i * (2j+1) - 1 on omega x omega.  `ap(a,b)` is the arithmetic
 progression {a*n+b : n in N}, a >= 1.  `piece(p, i)` selects the elements
@@ -560,64 +565,67 @@ def _fold(*nodes):
 # Grammar.
 
 # A numeral, a word, or any other single character: a stray character is a
-# token that no rule accepts.
+# token that no template accepts.
 _SET_TOKEN = re.compile(r"\d+|[a-z]+|\S")
 
-# constructor -> (set operands, natural operands, factory); `LazySet.expr`
-# writes the sets first
-_GRAMMAR = {"empty": (0, 0, empty), "rows": (0, 1, rows), "ap": (0, 2, ap),
-            "union": (2, 0, union), "inter": (2, 0, inter),
-            "diff": (2, 0, diff), "piece": (1, 1, piece)}
+# The slots of a template: a set expression, or a natural number.
+SET, NAT = object(), object()
+
+# constructor -> (template of the tokens after its name, factory); the
+# factory takes the slots' values in order, as `LazySet.expr` writes them
+_SETS = ("(", SET, ",", SET, ")")
+_GRAMMAR = {"empty": ((), empty), "rows": (("(", NAT, ")"), rows),
+            "ap": (("(", NAT, ",", NAT, ")"), ap), "union": (_SETS, union),
+            "inter": (_SETS, inter), "diff": (_SETS, diff),
+            "piece": (("(", SET, ",", NAT, ")"), piece)}
 
 
 def parse_set(text: str) -> LazySet:
-    """Parse the grammar above.  Constructors still awaiting operands wait
-    on an explicit stack, so nesting is bounded by the depth cap and not by
-    the interpreter's recursion limit."""
+    """Parse the grammar above."""
+    return parse_text(text, (SET,))[0]
+
+
+def parse_text(text: str, template: tuple) -> list:
+    """Read all of `text` as `template`, a tuple of literal tokens, each to
+    appear as written, and SET and NAT slots; return the slots' values.
+    Templates still being read wait on an explicit stack, so nesting is
+    bounded by the depth cap and not by the interpreter's recursion limit."""
     toks = _SET_TOKEN.findall(text)
-    toks.append("")                 # the end of input, which no rule accepts
-    # (set operands, natural operands, factory, operands read) per open
-    # constructor, over a root whose one set operand is the whole text
-    stack, i = [(1, 0, None, [])], 0
+    toks.append("")                 # the end of input, which no template accepts
+    # the template being read, its factory and its slot values, over the
+    # same three for each constructor around it
+    items, make, values = iter(template), None, []
+    stack, i = [], 0
     while True:
-        sets, nats, make, args = stack[-1]
-        n = len(args)
-        if n == sets + nats:        # every operand read: build the node
-            if make is None:
+        item = next(items, None)
+        if item is None:            # the template is read: build its node
+            if not stack:
                 break
-            if n:                   # `empty` takes no parentheses
-                i = _expect(toks, i, ")")
-            stack.pop()
             try:
-                stack[-1][3].append(make(*args))
+                node = make(*values)
             except ValueError as exc:   # ap(0, b)
                 raise SetParseError(str(exc)) from None
+            items, make, values = stack.pop()
+            values.append(node)
             continue
-        if n:
-            i = _expect(toks, i, ",")
         tok = toks[i]
         i += 1
-        if n >= sets:
+        if item is SET:
+            entry = _GRAMMAR.get(tok)
+            if entry is None:
+                raise SetParseError(f"expected a set, got {tok or 'end of input'!r}")
+            stack.append((items, make, values))
+            items, make, values = iter(entry[0]), entry[1], []
+        elif item is NAT:
             if not tok.isdecimal():
                 raise SetParseError(
                     f"expected a natural number, got {tok or 'end of input'!r}")
             try:
-                args.append(int(tok))
+                values.append(int(tok))
             except ValueError as exc:   # past Python's int-conversion digit limit
                 raise SetParseError(str(exc)) from None
-        elif tok in _GRAMMAR:
-            entry = _GRAMMAR[tok]
-            if entry[0] + entry[1]:
-                i = _expect(toks, i, "(")
-            stack.append((*entry, []))
-        else:
-            raise SetParseError(f"expected a set, got {tok or 'end of input'!r}")
+        elif tok != item:
+            raise SetParseError(f"expected {item!r}, got {tok or 'end of input'!r}")
     if toks[i]:
         raise SetParseError(f"trailing input at {toks[i]!r}")
-    return args[0]
-
-
-def _expect(toks, i, tok):
-    if toks[i] != tok:
-        raise SetParseError(f"expected {tok!r}, got {toks[i] or 'end of input'!r}")
-    return i + 1
+    return values

@@ -271,15 +271,17 @@ def parse_space(text: str) -> MetricSpace:
         fields = line.split()
         try:
             if fields[0] == "points":
-                n = int(fields[1])
+                _, n = fields
+                n = int(n)
             elif fields[0] == "dist":
-                i, j = int(fields[1]), int(fields[2])
+                _, i, j, d = fields
+                i, j = int(i), int(j)
                 if i == j:
                     raise ValueError("dist lines need two distinct points")
-                p, q = fields[3].split("/")
+                p, q = d.split("/")
                 p, q = int(p), int(q)
                 if q == 0:
-                    raise ValueError(f"distance {fields[3]} has denominator 0")
+                    raise ValueError(f"distance {d} has denominator 0")
                 key = (i, j) if i < j else (j, i)
                 p0, q0 = dists.setdefault(key, (p, q))
                 if p * q0 != p0 * q:
@@ -290,7 +292,7 @@ def parse_space(text: str) -> MetricSpace:
                 raise ValueError(f"unknown directive {fields[0]!r}")
         except MetricAxiomError:
             raise
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise SpaceParseError(f"line {lineno}: {exc}") from exc
     if n is None:
         raise SpaceParseError("missing 'points' header")

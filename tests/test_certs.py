@@ -348,7 +348,11 @@ def test_certificate_serialize_parse_roundtrip():
 
 def test_parse_certificate_rejects_garbage():
     for bad in ["", "cert{}", "cert{m=1, lower=ap(2,0)}",
-                "cert{m=x, lower=ap(2,0), upper=ap(1,0)}"]:
+                "cert{m=x, lower=ap(2,0), upper=ap(1,0)}",
+                "cert{m=1, lower=ap(2,0), upper=ap(1,0)}}",
+                "cert{m=1 lower=ap(2,0), upper=ap(1,0)}",
+                "CERT{m=1, lower=ap(2,0), upper=ap(1,0)}",
+                "cert{m=-1, lower=ap(2,0), upper=ap(1,0)}"]:
         with pytest.raises(SetParseError):
             parse_certificate(bad)
 

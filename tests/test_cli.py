@@ -417,6 +417,14 @@ def test_embed_invalid_interval(capsys):
     assert out.startswith("FAIL")
 
 
+@pytest.mark.parametrize("interval", ["ap(4,0)", "ap(4,0),ap(2,0),ap(1,0)"],
+                         ids=["one-set", "three-sets"])
+def test_interval_needs_exactly_two_sets(capsys, interval):
+    code, out, err = run(capsys, "split", "--interval", interval)
+    assert (code, out) == (USAGE_ERROR, "")
+    assert err.startswith("parse error:")
+
+
 def test_embed_determinism(capsys):
     args = ("embed", "--ordinal", "w*2", "--pairs", "15", "--seed", "7")
     _, out1, _ = run(capsys, *args)

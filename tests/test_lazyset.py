@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordchain.lazyset as lazyset
-from ordchain.lazyset import (ResourceLimitError, SetParseError, ap, diff,
-                              empty, inter, pair, parse_set, piece, rows,
-                              union, unpair)
+from ordchain.certs import default_certificate, parse_certificate
+from ordchain.lazyset import (SET, ResourceLimitError, SetParseError, ap,
+                              diff, empty, inter, pair, parse_set, parse_text,
+                              piece, rows, union, unpair)
 
 
 def members_upto(s, n):
@@ -401,6 +402,24 @@ def test_first_n_raises_on_finite_set(monkeypatch):
         finite.first_n(4)
 
 
+def test_first_n_of_nothing():
+    assert ap(3, 1).first_n(0) == []
+
+
+def test_rows_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        rows(-1)
+
+
+def test_shape_past_the_limit_is_scanned_unfolded(monkeypatch):
+    far = ap(1, 2 ** 62)                        # P + T passes _SHAPE_LIMIT
+    assert not far.bits(8).any()
+    assert far._shape is False and far._bits is None
+    monkeypatch.setattr(lazyset, "_SCAN_CAP", 1 << 12)
+    with pytest.raises(ResourceLimitError):
+        far.first_n(1)
+
+
 def test_first_n_past_the_cap_on_folded_set():
     # ceil((2^27 - 1) / 3) members of ap(3,1) lie below the default cap; a
     # folded set counts them instead of listing a billion candidates
@@ -519,11 +538,22 @@ def test_parse_set_whitespace():
 def test_parse_set_any_whitespace_between_tokens():
     rng = random.Random(5)
     spaces = ["", "", " ", "  ", "\t", "\n", "\r\n ", "\u00a0", "\u2003"]
+
+    def spread(text):
+        toks = re.findall(r"\w+|\S", text)
+        return "".join(rng.choice(spaces) + t for t in toks) + rng.choice(spaces)
+
     for seed in range(40):
-        for node in post_order(random_expr(random.Random(seed), 4)):
-            toks = re.findall(r"\w+|\S", node.expr)
-            text = "".join(rng.choice(spaces) + t for t in toks) + rng.choice(spaces)
-            assert parse_set(text) is node
+        nodes = post_order(random_expr(random.Random(seed), 4))
+        for node in nodes:
+            assert parse_set(spread(node.expr)) is node
+        # an interval and a certificate of the same nodes, read by the same
+        # reader from their templates
+        lower, upper = nodes[0], nodes[-1]
+        got = parse_text(spread(f"{lower.expr},{upper.expr}"), (SET, ",", SET))
+        assert got[0] is lower and got[1] is upper
+        cert = parse_certificate(spread(default_certificate(lower, upper, seed).serialize()))
+        assert (cert.bound, cert.lower, cert.upper) == (seed, lower, upper)
 
 
 def test_parse_set_deep_nesting():

@@ -564,6 +564,8 @@ def test_parse_space_conflicting_orientations():
     "points 2\ndist 0 1 1/0\norder 0 1\n",          # zero denominator
     "points 2\ndist 0 1 1/1\norder 0 1\nwibble\n",  # unknown directive
     "points 2\ndist 0 1 x\norder 0 1\n",
+    "points 2 7\ndist 0 1 1/2\norder 0 1\n",       # extra field on points
+    "points 2\ndist 0 1 1/2 9/9 x\norder 0 1\n",  # extra fields on dist
 ])
 def test_parse_space_rejects(bad):
     with pytest.raises(SpaceParseError):

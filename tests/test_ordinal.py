@@ -17,7 +17,8 @@ from ordchain.ordinal import (LT, EQ, GT, MAX_NESTING, OMEGA, ONE, ZERO,
                               format_ordinal, fundamental_index,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
-from ordchain.sampling import random_notation, sample_below
+from ordchain.sampling import (NoPairsError, random_notation, sample_below,
+                               sample_comparable_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,13 @@ def test_left_subtract_rejects_reversed():
         left_subtract(parse_ordinal("w*2"), OMEGA)
     with pytest.raises(ValueError):
         left_subtract(parse_ordinal("w+5"), parse_ordinal("w+4"))
+    with pytest.raises(ValueError):                 # b a proper prefix of a
+        left_subtract(parse_ordinal("w+1"), OMEGA)
+
+
+def test_from_int_rejects_a_negative():
+    with pytest.raises(ValueError):
+        Ordinal.from_int(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +385,11 @@ def test_sample_below_respects_bound():
     bound = parse_ordinal("w^(2)")
     for _ in range(100):
         assert compare(sample_below(bound, rng), bound) == LT
+
+
+def test_no_pair_lies_below_zero():
+    with pytest.raises(NoPairsError):
+        sample_comparable_pairs(ZERO, 1, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
