@@ -292,9 +292,11 @@ class OrdinalEmbedding:
 
     A notation's slot is read off its terms, so a large coefficient costs
     nothing up front, and a slot's start and sub-embedding are built once a
-    query lands in the slot, and kept.  Slot indices grow with the
-    coefficients along a notation's term list; the certificates of large
-    slots are proved from their structure and not probed.
+    query lands in the slot, and kept, as is each located notation's slot
+    and offset, for the embedding's life.  Levels are walked in loops, so
+    a deep bound costs no stack.  Slot indices grow with the coefficients
+    along a notation's term list; the certificates of large slots are
+    proved from their structure and not probed.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate,
@@ -303,6 +305,7 @@ class OrdinalEmbedding:
         self._chain = SplitChain(interval, validate)
         # (start, sub-embedding or None for a single point) per slot reached
         self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
+        self._located: Dict[Ordinal, tuple] = {}   # _locate's answers
         if _is_pure_power(bound):
             self._slot_end = fundamental_sequence(bound)
             self._slot_index = functools.partial(fundamental_index, bound)
@@ -314,6 +317,9 @@ class OrdinalEmbedding:
                 ) -> Tuple[int, Ordinal, Optional["OrdinalEmbedding"]]:
         """Slot index, offset within the slot, and the slot's sub-embedding
         (None for a single-point slot) of alpha < bound."""
+        found = self._located.get(alpha)
+        if found is not None:
+            return found
         if compare(alpha, self.bound) != -1:
             raise UnknownIndexError(f"notation {alpha} is not below {self.bound}")
         t = self._slot_index(alpha)
@@ -323,13 +329,21 @@ class OrdinalEmbedding:
             self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
                 otype, self._chain.cert(t, t + 1), validate=False))
         start, sub = self._slots[t]
-        return t, left_subtract(start, alpha), sub
+        found = self._located[alpha] = (t, left_subtract(start, alpha), sub)
+        return found
+
+    def _levels(self, alpha: Ordinal):
+        """(embedding, slot, sub-embedding) of each level alpha is located
+        in, from this one down to its single-point slot."""
+        emb = self
+        while emb is not None:
+            t, alpha, sub = emb._locate(alpha)
+            yield emb, t, sub
+            emb = sub
 
     def member(self, alpha: Ordinal) -> LazySet:
-        t, off, sub = self._locate(alpha)
-        if sub is None:
-            return self._chain.z(t + 1)
-        return sub.member(off)
+        *_, (emb, t, _) = self._levels(alpha)
+        return emb._chain.z(t + 1)
 
     def cert(self, alpha: Optional[Ordinal],
              beta: Optional[Ordinal]) -> OrderCertificate:
@@ -337,19 +351,36 @@ class OrdinalEmbedding:
         alpha=None is the interval's lower end and beta=None its upper end."""
         if alpha is not None and beta is not None and compare(alpha, beta) != -1:
             raise ValueError("need alpha < beta")
-        tb, offb, subb = (None, None, None) if beta is None else self._locate(beta)
-        ta, offa, suba = (-1, None, None) if alpha is None else self._locate(alpha)
-        if ta == tb:
-            return suba.cert(offa, offb)
+        emb = self
+        while True:     # down while both ends share a slot
+            tb, offb, subb = (None, None, None) if beta is None else emb._locate(beta)
+            ta, offa, suba = (-1, None, None) if alpha is None else emb._locate(alpha)
+            if ta != tb:
+                break
+            emb, alpha, beta = suba, offa, offb
         # out of alpha's slot up to z_{ta+1}, along the chain, into beta's
         # slot (a single-point slot t is z_{t+1} itself)
-        legs = [] if suba is None else [suba.cert(offa, None)]
+        legs = [] if suba is None else [suba._above(offa)]
         top = tb if subb is not None else (None if beta is None else tb + 1)
         if ta + 1 != top:
-            legs.append(self._chain.cert(ta + 1, top))
+            legs.append(emb._chain.cert(ta + 1, top))
         if subb is not None:
-            legs.append(subb.cert(None, offb))
+            legs.append(subb._below(offb))
         return functools.reduce(compose_certs, legs)
+
+    def _above(self, alpha: Ordinal) -> OrderCertificate:
+        """cert(alpha, None): out of each level's slot to its upper end,
+        composed from the innermost level out."""
+        return functools.reduce(compose_certs, reversed(
+            [emb._chain.cert(t + 1, None) for emb, t, _ in self._levels(alpha)]))
+
+    def _below(self, beta: Ordinal) -> OrderCertificate:
+        """cert(None, beta): from each level's lower end into its slot (to
+        z_{t+1} for a single point t), composed from the innermost level out."""
+        legs = [emb._chain.cert(0, t + (sub is None))
+                for emb, t, sub in self._levels(beta) if t or sub is None]
+        return functools.reduce(lambda inner, leg: compose_certs(leg, inner),
+                                reversed(legs))
 
 
 def default_interval() -> OrderCertificate:

@@ -10,7 +10,7 @@ item in ROADMAP.md, "Sample pairs from the whole bound".
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .ordinal import LT, Ordinal, compare, format_ordinal
 
@@ -21,17 +21,25 @@ MAX_TRAILING_NAT = 3
 MAX_TRIES = 10000
 
 
+def _raw_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
+                  max_coeff: int = MAX_COEFF, max_terms: int = MAX_TERMS,
+                  max_nat: int = MAX_TRAILING_NAT) -> Tuple[Tuple[int, int], ...]:
+    """The (exponent, coefficient) naturals of a `random_notation` draw."""
+    n_terms = rng.randint(1, min(max_terms, max_exponent + 1))
+    exponents = sorted(rng.sample(range(max_exponent + 1), n_terms), reverse=True)
+    return tuple((e, rng.randint(1, max_nat if e == 0 else max_coeff))
+                 for e in exponents)
+
+
+def _build(raw: Tuple[Tuple[int, int], ...]) -> Ordinal:
+    return Ordinal(tuple((Ordinal.from_int(e), c) for e, c in raw))
+
+
 def random_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
                     max_coeff: int = MAX_COEFF, max_terms: int = MAX_TERMS,
                     max_nat: int = MAX_TRAILING_NAT) -> Ordinal:
     """A random notation below w^(max_exponent + 1)."""
-    n_terms = rng.randint(1, min(max_terms, max_exponent + 1))
-    exponents = sorted(rng.sample(range(max_exponent + 1), n_terms), reverse=True)
-    terms = []
-    for e in exponents:
-        cap = max_nat if e == 0 else max_coeff
-        terms.append((Ordinal.from_int(e), rng.randint(1, cap)))
-    return Ordinal(terms)
+    return _build(_raw_notation(rng, max_exponent, max_coeff, max_terms, max_nat))
 
 
 class NoPairsError(ValueError):
@@ -46,17 +54,31 @@ def _finite(a: Ordinal) -> Optional[int]:
     return c if e.is_zero() else None
 
 
+def _draws(bound: Ordinal, rng: random.Random) -> Iterator[Ordinal]:
+    """Notations strictly below `bound`, one per `next`: uniform below a
+    finite bound, else rejection-sampled from `random_notation`.  A raw
+    draw is built and compared with the bound once per stream."""
+    n = _finite(bound)
+    while n is not None:
+        yield Ordinal.from_int(rng.randrange(n))
+    below: Dict[Tuple[Tuple[int, int], ...], Optional[Ordinal]] = {}
+    while True:
+        for _ in range(MAX_TRIES):
+            raw = _raw_notation(rng)
+            if raw not in below:
+                a = _build(raw)
+                below[raw] = a if compare(a, bound) == LT else None
+            if below[raw] is not None:
+                yield below[raw]
+                break
+        else:
+            raise ValueError(f"could not sample below {bound}")
+
+
 def sample_below(bound: Ordinal, rng: random.Random) -> Ordinal:
     """A notation strictly below `bound`: uniform below a finite bound,
     else rejection-sampled from `random_notation`."""
-    n = _finite(bound)
-    if n is not None:
-        return Ordinal.from_int(rng.randrange(n))
-    for _ in range(MAX_TRIES):
-        candidate = random_notation(rng)
-        if compare(candidate, bound) == LT:
-            return candidate
-    raise ValueError(f"could not sample below {bound}")
+    return next(_draws(bound, rng))
 
 
 def sample_comparable_pairs(bound: Ordinal, count: int,
@@ -66,9 +88,9 @@ def sample_comparable_pairs(bound: Ordinal, count: int,
     if count > 0 and _finite(bound) in (0, 1):
         raise NoPairsError(f"no pair a < b lies below {format_ordinal(bound)}")
     out: List[Tuple[Ordinal, Ordinal]] = []
+    draws = _draws(bound, rng)
     while len(out) < count:
-        a = sample_below(bound, rng)
-        b = sample_below(bound, rng)
+        a, b = next(draws), next(draws)
         c = compare(a, b)
         if c == 0:
             continue

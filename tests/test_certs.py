@@ -604,6 +604,13 @@ def test_embed_requires_order():
     with pytest.raises(UnknownIndexError) as exc:
         emb.cert(Ordinal.from_int(1), parse_ordinal("w+1"))
     assert str(exc.value) == "notation w + 1 is not below w"
+    # a refused notation is not kept: it is refused again, and the
+    # notations below the bound still answer
+    assert parse_ordinal("w") not in emb._located
+    with pytest.raises(UnknownIndexError):
+        emb.member(parse_ordinal("w"))
+    assert emb.member(Ordinal.from_int(3)) is emb._chain.z(4)
+    assert emb.cert(Ordinal.from_int(1), Ordinal.from_int(3)).upper is emb._chain.z(4)
 
 
 def test_embed_zero_is_empty():
@@ -811,14 +818,17 @@ def test_cert_queries_match_reference(interval):
         assert same_certificate(chain.cert(k - 1, k), ref.slot(k - 1))
         for j in range(k + 1, 7):
             assert same_certificate(chain.cert(k, j), ref.between(k, j))
-    for text in ["w", "w*2", "w^(2)", "w^(2)+w*3+5", "w^(w)", "w^(w^(w))",
-                 "12"]:
+    for text in ["w", "w*2", "w^(2)", "w^(2)+w*3+5", "w^(w)", "w^(w)+w^(3)",
+                 "w^(w^(w))", "12"]:
         xi = parse_ordinal(text)
         emb, ref = OrdinalEmbedding(xi, interval), ReferenceEmbedding(xi, interval)
-        for a, b in sample_comparable_pairs(xi, 60, random.Random(61)):
+        pairs = sample_comparable_pairs(xi, 60, random.Random(61))
+        # each pair again, in reverse order, answered from the located notations
+        for a, b in pairs + pairs[::-1]:
             assert same_certificate(emb.cert(a, b), ref.cert(a, b)), (text, a, b)
             assert same_certificate(emb.cert(None, a), ref.below(a))
             assert same_certificate(emb.cert(b, None), ref.above(b))
+            assert emb.member(a) is ref.below(a).upper
 
 
 def test_default_interval():

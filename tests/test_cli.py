@@ -402,6 +402,28 @@ def test_nesting_past_the_cap_is_a_parse_error(command):
     assert "Traceback" not in proc.stderr
 
 
+DEEP_PAIRS = "PAIR w^(3)*2+2 w^(4) OK\nPAIR w*2+1 w^(3)*2+2 OK\nCHECKED 2 FAILED 0\n"
+
+
+@pytest.mark.parametrize("argv,rc,out", [
+    (("embed", "--ordinal", "w^(w*500)", "--seed", "1"), 0, DEEP_PAIRS),
+    (("baire", "--ordinal", "w^(w*500)", "--seed", "1"), 0, DEEP_PAIRS),
+    (("baire", "--ordinal", "w^(w^(30)*31+w^(7)*20)*34", "--seed", "3"), 0,
+     "PAIR w^(4) w^(4)+w^(3) OK\nPAIR w^(2)+w*2 w^(3)+w OK\n"
+     "CHECKED 2 FAILED 0\n"),
+    (("baire", "--ordinal", "w^(w*1000000)"), 1,
+     "FAIL expression depth 10001 exceeds cap 10000\n"),
+], ids=["embed", "baire", "baire-tall", "baire-past-cap"])
+def test_deep_bound_is_walked_in_loops(argv, rc, out):
+    # a pair below w^(w*500) sits about 1,000 slot levels down, past the
+    # interpreter's recursion limit when each level was one call; only the
+    # depth cap bounds how deep a bound may go
+    proc = run_fresh(*argv, "--pairs", "2", code=MAIN_PEAK, timeout=60)
+    assert (proc.returncode, proc.stdout) == (rc, out)
+    assert "Traceback" not in proc.stderr
+    assert int(proc.stderr.split()[-1]) < 160 * 1024
+
+
 def test_embed_custom_interval(capsys):
     code, out, _ = run(capsys, "embed", "--ordinal", "w",
                        "--interval", "ap(4,0),ap(2,0)",

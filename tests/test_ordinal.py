@@ -380,11 +380,37 @@ def test_hash_consistency():
         assert b in seen
 
 
+def reference_comparable_pairs(bound, count, rng):
+    """The pair sampler with every draw built afresh: uniform below a
+    finite bound, else `random_notation` until `compare` puts the draw
+    below the bound; equal pairs are drawn again."""
+    def below():
+        if compare(bound, OMEGA) == LT:
+            return Ordinal.from_int(rng.randrange(bound.terms[0][1]))
+        while True:
+            a = random_notation(rng)
+            if compare(a, bound) == LT:
+                return a
+    out = []
+    while len(out) < count:
+        a, b = below(), below()
+        if compare(a, b) != EQ:
+            out.append((a, b) if compare(a, b) == LT else (b, a))
+    return out
+
+
 def test_sample_below_respects_bound():
     rng = random.Random(9)
     bound = parse_ordinal("w^(2)")
     for _ in range(100):
         assert compare(sample_below(bound, rng), bound) == LT
+    # the stream of draws is the reference's, pair for pair
+    for text in ["7", "w", "w^(2)+w*3+5", "w^(w)", "w^(w)+w^(3)", "w^(w^(w))"]:
+        bound = parse_ordinal(text)
+        for seed in range(200):
+            assert sample_comparable_pairs(bound, 10, random.Random(seed)) \
+                == reference_comparable_pairs(bound, 10, random.Random(seed)), \
+                (text, seed)
 
 
 def test_no_pair_lies_below_zero():
