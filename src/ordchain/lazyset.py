@@ -23,13 +23,14 @@ with `is`, at one table lookup per node.  The text `expr` is written only
 when asked for.
 
 Every set in the grammar is eventually periodic: from its preperiod P on,
-n and n + T are members together, for its period T.  The shape (P, T)
-follows the constructors: empty is (0, 1), rows(k) is (0, 2^k), ap(a,b)
-is (b, a); union, inter and diff take the larger P and the lcm of the two
-T; piece(s,i) keeps the P of s and has period T*2^(i+1)/gcd(c, 2^(i+1)),
-where c is the number of members of s in one period (period 1 if c = 0).
-A node learns its shape once its children know theirs, and a piece learns
-c once a scan has covered its parent's P + T.
+n and n + T are members together, for its period T.  A node's shape (P, T)
+is fixed when it is built, from its constructor and its children's shapes:
+empty is (0, 1), rows(k) is (0, 2^k), ap(a,b) is (b, a); union, inter and
+diff take the larger P and the lcm of the two T; piece(s,i) keeps the P of
+s and has period T*2^(i+1), since 2^(i+1) periods of s add a multiple of
+2^(i+1) to each rank.  A shape's T need not be the least period: if s has
+c members in one period, piece(s,i) repeats every T*2^(i+1)/gcd(c, 2^(i+1))
+as well, which is shorter when c is even.
 
 Membership comes from a scan (`bits`, which `member` and `first_n` call):
 one post-order pass that computes each node's prefix from its children's.
@@ -110,7 +111,7 @@ class LazySet:
     __slots__ = ("kind", "nats", "children", "depth", "_text", "_bits", "_shape",
                  "_facts")
 
-    def __init__(self, kind, nats, children, depth):
+    def __init__(self, kind, nats, children, depth, shape):
         self.kind = kind
         self.nats = nats
         self.children = children
@@ -118,8 +119,8 @@ class LazySet:
         self._text = None
         # the fold, membership over [0, P + T), or None
         self._bits = None
-        # (P, T) once known, False if P + T passes _SHAPE_LIMIT
-        self._shape = None
+        # (P, T), or False if P + T passes _SHAPE_LIMIT
+        self._shape = shape
         # (rule name, other node or None) -> whether the rules prove it
         self._facts = {}
 
@@ -202,11 +203,33 @@ def _make(kind, nats, children):
     node = _INTERN.get(key)
     if node is None:
         depth = 1 + max((c.depth for c in children), default=0)
-        node = _INTERN[key] = LazySet(kind, nats, children, depth)
+        node = _INTERN[key] = LazySet(kind, nats, children, depth,
+                                      _shape_of(kind, nats, children))
     # checked on every lookup, not at insertion: the cap may change later
     if node.depth > _DEPTH_CAP:
         raise ResourceLimitError(f"expression depth {node.depth} exceeds cap {_DEPTH_CAP}")
     return node
+
+
+def _shape_of(kind, nats, children):
+    """(P, T) of a node from its constructor and its children's shapes, or
+    False if P + T passes _SHAPE_LIMIT; a long shift is refused before it
+    builds a huge integer."""
+    if kind == "empty":
+        shape = (0, 1)
+    elif kind == "rows":
+        (k,) = nats
+        shape = k <= _SHAPE_BITS and (0, 1 << k)
+    elif kind == "ap":
+        a, b = nats
+        shape = (b, a)
+    elif kind == "piece":
+        s, (i,) = children[0]._shape, nats
+        shape = s and i < _SHAPE_BITS and (s[0], s[1] << (i + 1))
+    else:
+        x, y = (c._shape for c in children)
+        shape = x and y and (max(x[0], y[0]), math.lcm(x[1], y[1]))
+    return shape if shape and sum(shape) <= _SHAPE_LIMIT else False
 
 
 def empty() -> LazySet:
@@ -277,8 +300,6 @@ def _scan(root: LazySet, n: int) -> np.ndarray:
                            f"the budget of {_SCAN_BUDGET} bytes")
     memo = {}
     for node in order:
-        if node._shape is None:
-            node._shape = _learn_shape(node, memo)
         shape = node._shape
         m = min(n, sum(shape)) if shape else n
         bits = memo[node] = _compute_bits(node, m, memo)
@@ -303,43 +324,6 @@ def _prefix(node: LazySet, n: int, memo: dict) -> np.ndarray:
         out[done:done + step] = out[p:p + step]
         done += step
     return out
-
-
-def _learn_shape(node: LazySet, memo: dict):
-    """(P, T) of `node`, False if P + T passes _SHAPE_LIMIT, or None while
-    a child's shape or a piece's count per period is still unknown."""
-    kind = node.kind
-    if kind == "empty":
-        shape = (0, 1)
-    elif kind == "rows":
-        (k,) = node.nats
-        shape = (0, 1 << k) if k <= _SHAPE_BITS else False
-    elif kind == "ap":
-        a, b = node.nats
-        shape = (b, a)
-    elif kind == "piece":
-        parent = node.children[0]
-        if not parent._shape:
-            return parent._shape
-        p, t = parent._shape
-        bits = memo.get(parent, parent._bits)
-        if len(bits) < p + t:
-            return None
-        c = int(np.count_nonzero(bits[p:p + t]))
-        if c == 0:
-            return (p, 1)
-        # T * 2^(i+1) / gcd(c, 2^(i+1)) = T * 2^(i+1 - min(v2(c), i+1))
-        (i,) = node.nats
-        shift = i + 1 - min((c & -c).bit_length() - 1, i + 1)
-        shape = (p, t << shift) if shift <= _SHAPE_BITS else False
-    else:
-        x, y = (c._shape for c in node.children)
-        if x is None or y is None:
-            return None
-        shape = x and y and (max(x[0], y[0]), math.lcm(x[1], y[1]))
-    if shape and sum(shape) > _SHAPE_LIMIT:
-        return False
-    return shape
 
 
 def _compute_bits(node: LazySet, n: int, memo: dict) -> np.ndarray:
@@ -458,7 +442,9 @@ def _disjoint_rules(a, b):
         return True
     if _distinct_pieces(a, b):
         return True
-    for x, y in ((a, b), (b, a)):
+    # the deeper operand's climb first: a failed climb of the shallower one
+    # asks about every pair of containers of the two, quadratic in depth
+    for x, y in ((a, b), (b, a)) if a.depth >= b.depth else ((b, a), (a, b)):
         # diff(s, t) misses every subset of t
         if x.kind == "diff" and (yield "subset", y, x.children[1]):
             return True
@@ -470,6 +456,8 @@ def _disjoint_rules(a, b):
 
 
 def _infinite_rules(s, _):
+    if s.kind in ("ap", "rows"):            # by definition: a >= 1, k >= 1
+        return True
     if s.kind == "piece":                   # by the grammar's definition
         return (yield "infinite", s.children[0], None)
     if s.kind == "inter" and s.children[1].kind == "ap" \
@@ -534,9 +522,10 @@ def _distinct_pieces(x: LazySet, y: LazySet) -> bool:
 def _fold(*nodes):
     """(P, then each node's membership over [0, P + T)) for a preperiod P
     and a period T common to `nodes`, or None unless every node is
-    piece-free (its shape is then known without a scan) and P + T is at
-    most _FOLD_LIMIT."""
-    shapes = []
+    piece-free and P + T is at most _FOLD_LIMIT.  Pieces are refused for
+    cost: a piece's fold needs its parent scanned to the piece's P + T, a
+    period 2^(i+1) times its parent's, and the proofs fall back on a fold
+    at every rule that fails."""
     for node in nodes:
         seen, stack = {node}, [node]
         while stack:
@@ -546,9 +535,7 @@ def _fold(*nodes):
             fresh = [c for c in n.children if c not in seen]
             seen.update(fresh)
             stack += fresh
-        if node._shape is None:
-            _scan(node, 1)                  # learns the shapes below node
-        shapes.append(node._shape)
+    shapes = [node._shape for node in nodes]
     if not all(shapes):
         return None
     p = max(shape[0] for shape in shapes)

@@ -86,6 +86,7 @@ GOLDEN_FILES = {
     "good.cert": "cert{m=0, lower=ap(4,0), upper=ap(2,0)}\n",
     "bad.cert": "cert{m=0, lower=ap(4,0), upper=inter(ap(2,0),ap(1,1))}\n",
     "exhausted.cert": "cert{m=0, lower=rows(2), upper=rows(1)}\n",
+    "sparse.cert": "cert{m=0, lower=empty, upper=ap(10000000,0)}\n",
 }
 
 GOLDEN = [
@@ -151,6 +152,22 @@ GOLDEN = [
     pytest.param(["verify", "--cert", "exhausted.cert"], 1,
                  "FAIL surplus exhausted: found only 0 elements of "
                  "diff(rows(1),rows(2)) below 134217728\n", id="verify-exhausted"),
+    # progressions too sparse to probe, proved infinite by definition: each
+    # FAILed with its surplus exhausted
+    pytest.param(["verify", "--cert", "sparse.cert"], 0, "OK\n",
+                 id="verify-sparse-progression"),
+    pytest.param(
+        ["split", "--interval", "empty,ap(10000000,3)", "--count", "2"], 0,
+        "Z 1 union(inter(empty,ap(10000000,3)),piece(diff(ap(10000000,3),empty),0))\n"
+        "Z 2 union(union(inter(empty,ap(10000000,3)),"
+        "piece(diff(ap(10000000,3),empty),0)),piece(diff(ap(10000000,3),empty),1))\n"
+        "PAIR x z1 OK\nPAIR z1 z2 OK\nPAIR z2 y OK\nCHECKED 3 FAILED 0\n",
+        id="split-sparse-progression"),
+    pytest.param(
+        ["embed", "--ordinal", "w", "--interval", "empty,ap(10000000,3)",
+         "--pairs", "3"], 0,
+        "PAIR 1 2 OK\nPAIR 1 3 OK\nPAIR 2 3 OK\nCHECKED 3 FAILED 0\n",
+        id="embed-sparse-progression"),
     pytest.param(["cont", "--space", "two.space", "--eval", "1,0"], 0,
                  "f 1 at 0 = 2/1 (+/- 0)\n", id="cont-eval"),
     pytest.param(["cont", "--space", "two.space", "--eval", "1,0",
@@ -408,16 +425,18 @@ DEEP_PAIRS = "PAIR w^(3)*2+2 w^(4) OK\nPAIR w*2+1 w^(3)*2+2 OK\nCHECKED 2 FAILED
 @pytest.mark.parametrize("argv,rc,out", [
     (("embed", "--ordinal", "w^(w*500)", "--seed", "1"), 0, DEEP_PAIRS),
     (("baire", "--ordinal", "w^(w*500)", "--seed", "1"), 0, DEEP_PAIRS),
+    (("baire", "--ordinal", "w^(w*2000)", "--seed", "1"), 0, DEEP_PAIRS),
     (("baire", "--ordinal", "w^(w^(30)*31+w^(7)*20)*34", "--seed", "3"), 0,
      "PAIR w^(4) w^(4)+w^(3) OK\nPAIR w^(2)+w*2 w^(3)+w OK\n"
      "CHECKED 2 FAILED 0\n"),
     (("baire", "--ordinal", "w^(w*1000000)"), 1,
      "FAIL expression depth 10001 exceeds cap 10000\n"),
-], ids=["embed", "baire", "baire-tall", "baire-past-cap"])
+], ids=["embed", "baire", "baire-2000", "baire-tall", "baire-past-cap"])
 def test_deep_bound_is_walked_in_loops(argv, rc, out):
     # a pair below w^(w*500) sits about 1,000 slot levels down, past the
     # interpreter's recursion limit when each level was one call; only the
-    # depth cap bounds how deep a bound may go
+    # depth cap bounds how deep a bound may go.  Proving its certificates
+    # took time and memory quadratic in the depth: 853 MiB at w^(w*2000)
     proc = run_fresh(*argv, "--pairs", "2", code=MAIN_PEAK, timeout=60)
     assert (proc.returncode, proc.stdout) == (rc, out)
     assert "Traceback" not in proc.stderr

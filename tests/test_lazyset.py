@@ -516,6 +516,48 @@ def test_proofs_hold_on_reference_bits(seed, depth):
                 assert ref[id(a)][p:p + t].any(), a
 
 
+def least_period(ref, p, t):
+    """The least divisor d of t with ref[n] == ref[n + d] for p <= n < p + t
+    (`ref` reaches p + 2t)."""
+    return min(d for d in range(1, t + 1) if t % d == 0
+               and (ref[p:p + t] == ref[p + d:p + t + d]).all())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(st.integers(0, 1 << 32), st.integers(1, 5))
+def test_shapes_come_from_the_expression(seed, depth):
+    # every node, pieces included, has its shape when it is built, and a
+    # scan leaves it as it is; where it is short, it is a period
+    nodes = proof_pool(random.Random(seed), depth)
+    shapes = [n._shape for n in nodes]
+    assert all(shape is False or isinstance(shape, tuple) for shape in shapes)
+    for node, shape in zip(nodes, shapes):
+        node.bits(64)
+        assert node._shape == shape, node
+        if shape and sum(shape) <= PROOF_SPAN:
+            p, t = shape
+            ref = reference_bits(node, p + 2 * t)
+            assert (ref[p:p + t] == ref[p + t:]).all(), node
+
+
+def test_piece_of_an_odd_count_has_its_least_period():
+    # one member of the parent per period, so the piece's period
+    # T * 2^(i+1) is its least
+    for parent in [rows(1), ap(3, 1), diff(rows(3), rows(2)),
+                   piece(ap(3, 1), 0)]:
+        for i in range(5):
+            p, t = piece(parent, i)._shape
+            assert t == parent._shape[1] << (i + 1)
+            assert least_period(reference_bits(piece(parent, i), p + 2 * t), p, t) == t
+
+
+def test_progressions_and_rows_are_infinite_by_definition():
+    # too long to fold, so only the rule proves them
+    for s in [ap(2 ** 40, 7), rows(100)]:
+        assert lazyset.infinite(s)
+        assert s._bits is None
+
+
 # ---------------------------------------------------------------------------
 # Grammar.
 
