@@ -10,12 +10,16 @@ every ordered pair.
 
 Arithmetic is exact and runs on integers over one common denominator.  The
 parser reads each distance as a (numerator, denominator) pair of ints, and a
-space keeps one n x n numpy matrix of Python ints: every distance times L,
-the least common multiple of the denominators.  The metric check, the nets,
-the bump sums and the value table compare and add those integers; a value
-of f_d is a numerator over L * 2^S, S the stable level, beyond which the
-infinite level sum collapses to a closed form.  `Fraction` appears only in
-`dist`, `ContChain.eval`, `ContChain.value_table` and error texts.
+space keeps one n x n numpy matrix: every distance times L, the least common
+multiple of the denominators.  The metric check, the nets, the bump sums and
+the value table compare and add those integers; a value of f_d is a
+numerator over L * 2^S, S the stable level, beyond which the infinite level
+sum collapses to a closed form.  The matrix is int64 when every integer
+computed from it fits, that is when twice the largest |L * d| and
+L * 2^(S+2) are both below 2^63, and Python ints (dtype object) otherwise;
+the code and the answers are the same either way.  Values leave the matrix
+as Python ints, and `Fraction` appears only in `dist`, `ContChain.eval`,
+`ContChain.value_table` and error texts.
 """
 
 from __future__ import annotations
@@ -42,12 +46,33 @@ class SpaceParseError(ValueError):
     pass
 
 
+def _stable_level(least: int, scale: int) -> int:
+    """First level n with least distance * 2^n >= 4, on L-scaled integers."""
+    n = 0
+    while least << n < 4 * scale:
+        n += 1
+    return n
+
+
+def _fits_int64(values: List[int], scale: int) -> bool:
+    """Whether every integer the metric layer computes from the L-scaled
+    distances `values` fits in int64: a sum of two of them (the triangle
+    check) and L * 2^(S+2), S the stable level of the least positive one,
+    which bounds every net threshold, bump term and value-table entry."""
+    positive = [v for v in values if v > 0]
+    level = _stable_level(min(positive), scale) if positive else 0
+    return (2 * max(map(abs, values), default=0) < 2 ** 63
+            and scale << (level + 2) < 2 ** 63)
+
+
 class MetricSpace:
     """Finite point set with exact rational metric and a total order on the
     (dense = full) point set.  `dists[(i, j)]`, for every i < j, is the
     distance as an int pair (p, q), q nonzero of either sign and p/q not
     necessarily reduced.  `scale` is L, the least common multiple of the
-    q's, and `_m[i, j]` is L * d(i, j)."""
+    q's, and `_m[i, j]` is L * d(i, j): int64 when 2 * max |L * d| and
+    L * 2^(S+2) are below 2^63, S the stable level of the least positive
+    distance, else Python ints."""
 
     def __init__(self, n_points: int, dists: Dict[Tuple[int, int], Tuple[int, int]],
                  order: Sequence[int]):
@@ -60,22 +85,25 @@ class MetricSpace:
         self.pos = [0] * self.n
         for p, idx in enumerate(self.order):
             self.pos[idx] = p
-        self._pairs = list(dists)       # in the order given, for validate
-        for i, j in self._pairs:
+        for i, j in dists:
             if not 0 <= i < j < self.n:
                 raise SpaceParseError(f"distance for pair {i} {j}: no such pair of points")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (i, j) not in dists:
-                    raise SpaceParseError(f"missing distance for pair {i} {j}")
+        if len(dists) != self.n * (self.n - 1) // 2:
+            # the pairs are in range and distinct, so one is missing
+            i, j = next((i, j) for i in range(self.n) for j in range(i + 1, self.n)
+                        if (i, j) not in dists)
+            raise SpaceParseError(f"missing distance for pair {i} {j}")
         self.scale = math.lcm(*(q for _, q in dists.values()))
-        # symmetric, zero on the diagonal; L // q is exact for either sign of q
-        self._m = np.zeros((self.n, self.n), dtype=object)
-        for (i, j), (p, q) in dists.items():
-            self._m[i, j] = self._m[j, i] = p * (self.scale // q)
+        # L // q is exact for either sign of q
+        values = [p * (self.scale // q) for p, q in dists.values()]
+        dtype = np.int64 if _fits_int64(values, self.scale) else object
+        # pair indices in the order given, for validate
+        self._rows, self._cols = np.array(list(dists), dtype=np.intp).reshape(-1, 2).T
+        self._m = np.zeros((self.n, self.n), dtype=dtype)     # zero diagonal
+        self._m[self._rows, self._cols] = self._m[self._cols, self._rows] = values
 
     def dist(self, i: int, j: int) -> Fraction:
-        return Fraction(self._m[i, j], self.scale)
+        return Fraction(int(self._m[i, j]), self.scale)
 
     def precedes(self, d: int, e: int) -> bool:
         return self.pos[d] < self.pos[e]
@@ -84,16 +112,15 @@ class MetricSpace:
         """Exhaustive metric-axiom check; returns violation descriptions,
         the triangle ones in (i, j, k) order."""
         m = self._m
-        bad = []
-        for i, j in self._pairs:
-            if m[i, j] < 0:
-                bad.append(f"nonnegativity {i} {j}")
-            if m[i, j] == 0:
-                bad.append(f"identity {i} {j}")
+        values = m[self._rows, self._cols]
+        bad = [f"{'nonnegativity' if values[k] < 0 else 'identity'} "
+               f"{self._rows[k]} {self._cols[k]}"
+               for k in np.flatnonzero(values <= 0)]
         for i in range(self.n):
             # entry [j, k]: d(i, j) > d(i, k) + d(k, j), as m is symmetric
-            for j, k in np.argwhere(m[i][:, None] > m[i][None, :] + m):
-                bad.append(f"triangle {i} {j} {k}")
+            broken = m[i][:, None] > m[i][None, :] + m
+            if broken.any():
+                bad.extend(f"triangle {i} {j} {k}" for j, k in np.argwhere(broken))
         return bad
 
     def _closer_than(self, k: int, n: int, cols=slice(None)) -> np.ndarray:
@@ -177,11 +204,8 @@ class ContChain:
         space = self.space
         if space.n < 2:
             return 0
-        least = space._m[np.triu_indices(space.n, 1)].min()
-        n = 0
-        while least << n < 4 * space.scale:
-            n += 1
-        return n
+        return _stable_level(int(space._m[np.triu_indices(space.n, 1)].min()),
+                             space.scale)
 
     @cached_property
     def _terms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -198,9 +222,10 @@ class ContChain:
             faults = np.flatnonzero(centers == -2)
             if faults.size:
                 raise self.nets._locality_error(n, int(faults[0]))
-            gap = space._m[np.arange(space.n), centers] << top
-            terms.append((after[centers],
-                          np.where(centers >= 0, (scale << (top - n)) - gap, 0)))
+            has = centers >= 0
+            term = np.zeros(space.n, dtype=space._m.dtype)
+            term[has] = (scale << (top - n)) - (space._m[has, centers[has]] << top)
+            terms.append((after[centers], term))
         return terms
 
     @cached_property
@@ -208,7 +233,7 @@ class ContChain:
         """table[d, x] = f_d(x) as a numerator over L * 2^S."""
         pos = np.array(self.space.pos)
         before = pos[None, :] < pos[:, None]            # [d, x]: x precedes d
-        table = before.astype(object) * (2 * self.space.scale)
+        table = before.astype(self.space._m.dtype) * (2 * self.space.scale)
         for center_pos, term in self._terms:
             table += (center_pos[None, :] < pos[:, None]) * term
         return table
@@ -225,8 +250,8 @@ class ContChain:
         top, scale = self.stable_level, self.space.scale
         before = self.space.precedes(x, d)
         d_pos = self.space.pos[d]
-        head = sum(term[x] for center_pos, term in self._terms[:truncate]
-                   if center_pos[x] < d_pos)
+        head = int(sum(term[x] for center_pos, term in self._terms[:truncate]
+                       if center_pos[x] < d_pos))
         if truncate is None:
             return Fraction(head + (2 * scale if before else 0), scale << top), Fraction(0)
         value = Fraction(head, scale << top)
@@ -237,7 +262,7 @@ class ContChain:
     def value_table(self) -> List[List[Fraction]]:
         """table[d][x] = exact f_d(x)."""
         den = self.space.scale << self.stable_level
-        return [[Fraction(v, den) for v in row] for row in self._table]
+        return [[Fraction(v, den) for v in row] for row in self._table.tolist()]
 
     @cached_property
     def _above(self) -> np.ndarray:

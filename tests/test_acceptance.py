@@ -5,7 +5,7 @@ Each test prints one summary line, `CRITERION <k> PASS ...` or
 Tolerances: rational arithmetic is exact (no epsilon anywhere);
 certificate checks use depth 32; brute-force scans go to N = 10^4.
 Runtime bounds: criterion 1 under 10 s, criterion 4 under 30 s per
-ordinal.
+ordinal, criterion 9 under 5 s of process CPU.
 """
 
 import random
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordchain import cli
 from ordchain.baire import FSigmaWitness, fsigma_witness, pair_failure
 from ordchain.certs import (ChainReport, OrdinalEmbedding, SplitChain,
                             base_cert, compose_certs, default_certificate,
@@ -263,3 +264,24 @@ def test_criterion_8_ordinal_algebra(announce):
     announce(8, bad == 0, f"ordinal algebra over {len(sample)} notations "
                           f"and {len(limits)} fundamental sequences "
                           f"({bad} violations)")
+
+
+def test_criterion_9_large_space_check_all(announce, capsys, tmp_path):
+    # point i at i/8 on a line, in a shuffled order: the pairwise check of
+    # the whole chain, 114,960 pairs, through the command line
+    rng = random.Random(109)
+    n = 480
+    order = list(range(n))
+    rng.shuffle(order)
+    lines = [f"points {n}"]
+    lines += [f"dist {i} {j} {j - i}/8" for i in range(n) for j in range(i + 1, n)]
+    lines.append("order " + " ".join(map(str, order)))
+    path = tmp_path / "line480.space"
+    path.write_text("\n".join(lines) + "\n")
+    start = time.process_time()
+    status = cli.main(["cont", "--space", str(path), "--check-all"])
+    elapsed = time.process_time() - start
+    tally = capsys.readouterr().out.splitlines()[-1]
+    ok = status == 0 and tally == "CHECKED 114960 FAILED 0" and elapsed < 5
+    announce(9, ok, f"480-point chain through cont --check-all: {tally}, "
+                    f"exit {status}, {elapsed:.2f}s CPU")

@@ -1,12 +1,14 @@
 """Continuous-function chains on finite metric spaces: nets, bumps, exact
 evaluation, witnesses, and the space-file format."""
 
+import copy
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pytest
 
 from ordchain.metric import (ContChain, LocalityError, MetricAxiomError,
@@ -452,6 +454,7 @@ def test_kernel_matches_reference(dims, dens):
         ms, ref = MetricSpace(n, as_pairs(dists), order), Reference(n, dists, order)
         if dens[0] > 2 ** 70:
             assert ms.scale * max(dists.values()) > 2 ** 70
+        assert ms._m.dtype == (object if dens[0] > 2 ** 70 else np.int64)
         assert ms.validate() == ref.validate() == []
         chain = ContChain(ms)
         top = chain.stable_level
@@ -471,17 +474,24 @@ def test_kernel_matches_reference(dims, dens):
                     assert level_term(chain, level, d, x) == ref.psi(level, d, x)
 
 
+def broken_space_inputs(rng, dims, dens):
+    """(n, dists, order) as `space_inputs` gives, with some distances made
+    zero, negative, three times larger or five times smaller, and the pairs
+    in shuffled order."""
+    n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
+    keys = list(dists)
+    for key in rng.sample(keys, rng.randint(1, len(keys))):
+        dists[key] = rng.choice([F(0), -dists[key], dists[key] * 3,
+                                 dists[key] / 5])
+    rng.shuffle(keys)
+    return n, {key: dists[key] for key in keys}, order     # file order is kept
+
+
 @pytest.mark.parametrize("dims, dens", KERNEL_SPACES)
 def test_validate_matches_reference_on_broken_spaces(dims, dens):
     rng = random.Random(59 + dims)
     for _ in range(6):
-        n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
-        keys = list(dists)
-        for key in rng.sample(keys, rng.randint(1, len(keys))):
-            dists[key] = rng.choice([F(0), -dists[key], dists[key] * 3,
-                                     dists[key] / 5])
-        rng.shuffle(keys)
-        dists = {key: dists[key] for key in keys}     # file order is kept
+        n, dists, order = broken_space_inputs(rng, dims, dens)
         expected = Reference(n, dists, order).validate()
         assert expected
         assert MetricSpace(n, as_pairs(dists), order).validate() == expected
@@ -527,6 +537,119 @@ def test_integer_path_locality_fault_injection():
         with pytest.raises(LocalityError) as err:
             run(chain)
         assert str(err.value) == str(expected.value)
+
+
+# ---------------------------------------------------------------------------
+# The matrix dtype: int64 where every computed integer fits, else Python
+# ints, with the same answers.
+
+def object_twin(ms):
+    """ms with its matrix as Python ints, as a space past the int64 limit
+    keeps it."""
+    twin = copy.copy(ms)
+    twin._m = ms._m.astype(object)
+    return twin
+
+
+def assert_exact_fractions(values):
+    for v in values:
+        assert type(v.numerator) is int and type(v.denominator) is int, v
+
+
+def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
+    """The space of the int pairs `pairs` takes `dtype`, and it and its
+    object twin give the same answers as each other and as `Reference`.
+    With `level0`, both chains' level-0 nets are set to it before anything
+    is evaluated, and every evaluation must raise Reference's
+    LocalityError."""
+    ms = MetricSpace(n, pairs, order)
+    ref = Reference(n, {key: F(p, q) for key, (p, q) in pairs.items()}, order)
+    spaces = [ms, object_twin(ms)]
+    assert [s._m.dtype for s in spaces] == [dtype, object]
+    assert_exact_fractions(s.dist(i, j) for s in spaces
+                           for i in range(n) for j in range(n))
+    expected = ref.validate()
+    assert [s.validate() for s in spaces] == [expected, expected]
+    if expected:
+        return
+    chains = [ContChain(s) for s in spaces]
+    top = ref.stable_level()
+    assert [c.stable_level for c in chains] == [top, top]
+    for level in range(top + 2):
+        assert [c.nets.level(level) for c in chains] == [ref.net(level)] * 2
+    if level0 is not None:
+        for chain in chains:
+            chain.nets.levels[0] = level0
+        ref.nets[0] = level0
+        with pytest.raises(LocalityError) as fault:
+            ref.eval(1, 0)
+        for chain in chains:
+            for run in (lambda: chain.value_table(), lambda: chain.eval(1, 0),
+                        lambda: chain.eval(1, 0, truncate=80),
+                        lambda: chain.pair_failure(0, 1)):
+                with pytest.raises(LocalityError) as err:
+                    run()
+                assert str(err.value) == str(fault.value)
+        return
+    assert chains[0]._table.tolist() == chains[1]._table.tolist()
+    exact = [[ref.eval(d, x)[0] for x in range(n)] for d in range(n)]
+    for chain in chains:
+        table = chain.value_table()
+        assert table == exact
+        assert_exact_fractions(v for row in table for v in row)
+        for d in range(n):
+            for x in range(n):
+                for truncate in (None, 80):
+                    value = chain.eval(d, x, truncate)
+                    assert value == ref.eval(d, x, truncate)
+                    assert_exact_fractions(value)
+            for e in range(n):
+                fd, fe = exact[d], exact[e]
+                assert chain.pair_failure(d, e) == (
+                    "monotonicity" if any(a > b for a, b in zip(fd, fe))
+                    else "strictness" if not fd[d] < fe[d] else None)
+
+
+def test_int64_and_object_paths_agree():
+    rng = random.Random(73)
+    for dims, dens in [(1, (1, 2, 4, 8)), (2, (1, 2, 4, 8)), (1, (3, 7, 9)),
+                       (2, (3, 7, 9))]:
+        for _ in range(3):
+            n, dists, order = space_inputs(rng, rng.randint(2, 8), dims, dens)
+            assert_dtypes_agree(n, as_pairs(dists), order)
+            n, dists, order = broken_space_inputs(rng, dims, dens)
+            assert_dtypes_agree(n, as_pairs(dists), order)
+
+
+def test_int64_and_object_paths_agree_on_locality_faults():
+    pairs = {(0, 1): (1, 8), (0, 2): (10, 1), (1, 2): (79, 8)}
+    assert_dtypes_agree(3, pairs, [0, 1, 2], level0=[0, 1])   # both centers
+
+
+def line_pairs(den, *points):
+    """The distances between the points p/den on a line, each written over
+    den, so L = den however they reduce."""
+    return {(i, j): (abs(points[i] - points[j]), den)
+            for i in range(len(points)) for j in range(i + 1, len(points))}
+
+
+# Each space sits just below or just above the int64 limit on one axis.
+# Points 0, 1 and D: 2 * max |L * d| = 2D against 2^63.  Points 0, k/2^30
+# and 1 over L = 2^30: k = 4 gives S = 30 and L * 2^(S+2) = 2^62, while
+# k = 2 gives S = 31 and 2^63.  The last space is just below on both axes,
+# and its far pairs shifted left by S would pass 2^63.
+LIMIT_SPACES = [
+    pytest.param(line_pairs(1, 0, 1, 2 ** 62 - 1), np.int64, id="distance-below"),
+    pytest.param(line_pairs(1, 0, 1, 2 ** 62), object, id="distance-above"),
+    pytest.param(line_pairs(2 ** 30, 0, 4, 2 ** 30), np.int64, id="least-below"),
+    pytest.param(line_pairs(2 ** 30, 0, 2, 2 ** 30), object, id="least-above"),
+    pytest.param(line_pairs(2 ** 30, 0, 4, 2 ** 61), np.int64, id="both-below"),
+]
+
+
+@pytest.mark.parametrize("pairs, dtype", LIMIT_SPACES)
+def test_dtype_follows_the_int64_limit(pairs, dtype):
+    assert_dtypes_agree(3, pairs, [2, 0, 1], dtype)
 
 
 # ---------------------------------------------------------------------------
