@@ -13,7 +13,7 @@ from .certs import (ChainReport, OrderCertificate, OrdinalEmbedding,
                     default_interval, parse_certificate, tree_node,
                     tree_split, verify_certificate)
 from .baire import BaireFunction, FSigmaWitness, fsigma_witness
-from .metric import (ContChain, MetricAxiomError, MetricSpace, SeparatedNets,
-                     parse_space)
+from .metric import (ContChain, MetricAxiomError, MetricSpace, parse_space,
+                     separated_net)
 
 __version__ = "0.1.0"

@@ -184,14 +184,11 @@ class SplitChain:
     pairwise disjoint infinite slices of upper \\ lower, which yields
     certificates with infinite surplus at every step.  The chain's levels
     are x (level 0), z_1, z_2, ... and y (level None), and `cert` gives a
-    certificate between any two of them.
+    certificate between any two of them.  The interval's certificate is
+    trusted, not checked: verify one from outside first.
     """
 
-    def __init__(self, cert: OrderCertificate, validate: bool = True):
-        if validate:
-            reason = verify_certificate(cert, 4)
-            if reason is not None:
-                raise InvalidCertificateError(f"invalid interval certificate: {reason}")
+    def __init__(self, cert: OrderCertificate):
         self.x = cert.lower
         self.y = cert.upper
         self.bound = cert.bound
@@ -229,9 +226,9 @@ def tree_split(s: TreeAddress) -> SplitChain:
         raise ValueError("tree address must be nonempty")
     if any((not isinstance(a, int)) or a < 0 for a in s):
         raise ValueError("tree address entries must be naturals")
-    chain = SplitChain(base_cert(s[0], s[0] + 1), validate=False)
+    chain = SplitChain(base_cert(s[0], s[0] + 1))
     for a in s[1:]:
-        chain = SplitChain(chain.cert(a, a + 1), validate=False)
+        chain = SplitChain(chain.cert(a, a + 1))
     return chain
 
 
@@ -296,13 +293,13 @@ class OrdinalEmbedding:
     and offset, for the embedding's life.  Levels are walked in loops, so
     a deep bound costs no stack.  Slot indices grow with the coefficients
     along a notation's term list; the certificates of large slots are
-    proved from their structure and not probed.
+    proved from their structure and not probed.  The interval's
+    certificate is trusted, as by `SplitChain`.
     """
 
-    def __init__(self, bound: Ordinal, interval: OrderCertificate,
-                 validate: bool = True):
+    def __init__(self, bound: Ordinal, interval: OrderCertificate):
         self.bound = bound
-        self._chain = SplitChain(interval, validate)
+        self._chain = SplitChain(interval)
         # (start, sub-embedding or None for a single point) per slot reached
         self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
         self._located: Dict[Ordinal, tuple] = {}   # _locate's answers
@@ -327,7 +324,7 @@ class OrdinalEmbedding:
             start = self._slot_end(t - 1) if t else Ordinal()
             otype = left_subtract(start, self._slot_end(t))
             self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
-                otype, self._chain.cert(t, t + 1), validate=False))
+                otype, self._chain.cert(t, t + 1)))
         start, sub = self._slots[t]
         found = self._located[alpha] = (t, left_subtract(start, alpha), sub)
         return found

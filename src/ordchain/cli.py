@@ -89,10 +89,17 @@ def _report(checks: Iterable[Tuple[str, Optional[str]]]) -> int:
 
 
 def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
+    """The interval `--interval` names (the default one if None), checked
+    to depth 4: the chains built on it trust it."""
     if arg is None:
-        return default_interval()
-    lower, upper = parse_text(arg, (SET, ",", SET))
-    return default_certificate(lower, upper, bound)
+        cert = default_interval()
+    else:
+        lower, upper = parse_text(arg, (SET, ",", SET))
+        cert = default_certificate(lower, upper, bound)
+    reason = verify_certificate(cert, 4)
+    if reason is not None:
+        raise InvalidCertificateError(f"invalid interval certificate: {reason}")
+    return cert
 
 
 def _pair_checks(args, interval: Optional[str], bound: int, check) -> int:

@@ -6,7 +6,10 @@ greedily built maximal 2^(2-n)-separated net contributes a bump of height
 2^(-n) around each center, and a point d collects the bumps of the centers
 strictly below it in the order.  The resulting functions live in [0, 2],
 increase with the order, and are strictly separated at the lower point of
-every ordered pair.
+every ordered pair.  `separated_net` builds one level's net;
+`ContChain` builds each level's net below the stable level once, when
+its values are first asked for, and keeps the per-level bump terms, not
+the nets.
 
 Arithmetic is exact and runs on integers over one common denominator.  The
 parser reads each distance as a (numerator, denominator) pair of ints, and a
@@ -25,7 +28,6 @@ as Python ints, and `Fraction` appears only in `dist`, `ContChain.eval`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -129,59 +131,17 @@ class MetricSpace:
         return self._m[:, cols] < -(-k * self.scale >> n)
 
 
-@dataclass
-class SeparatedNets:
-    """Per level n: a maximal subset of D with pairwise distances >= 2^(2-n),
-    built greedily in D-enumeration order."""
-
-    space: MetricSpace
-    levels: List[List[int]] = field(default_factory=list)
-
-    def level(self, n: int) -> List[int]:
-        while len(self.levels) <= n:
-            self.levels.append(self._build_level(len(self.levels)))
-        return self.levels[n]
-
-    def _build_level(self, n: int) -> List[int]:
-        near = self.space._closer_than(4, n)
-        blocked = np.zeros(self.space.n, dtype=bool)
-        chosen: List[int] = []
-        for p in range(self.space.n):
-            if not blocked[p]:
-                chosen.append(p)
-                blocked |= near[p]
-        return chosen
-
-    def check_level(self, n: int) -> List[str]:
-        """Separation and maximality violations at level n (empty if fine)."""
-        near = self.space._closer_than(4, n)
-        net = self.level(n)
-        bad = [f"separation {net[a]} {net[b]}"
-               for a, b in np.argwhere(np.triu(near[np.ix_(net, net)], 1))]
-        covered = near[net].any(axis=0)
-        bad += [f"maximality {p}" for p in range(self.space.n)
-                if p not in net and not covered[p]]
-        return bad
-
-    def _centers(self, n: int) -> np.ndarray:
-        """Per point x, the level-n center within 2^(-n) of x: -1 if there
-        is none, -2 if there are several (a locality fault)."""
-        net = self.level(n)
-        hits = self.space._closer_than(1, n, net)
-        count = hits.sum(axis=1)
-        centers = np.full(self.space.n, -1)
-        if net:
-            one = count == 1
-            centers[one] = np.asarray(net)[hits[one].argmax(axis=1)]
-        centers[count > 1] = -2
-        return centers
-
-    def _locality_error(self, n: int, x: int) -> LocalityError:
-        net = self.level(n)
-        hits = [c for c, near in zip(net, self.space._closer_than(1, n, net)[x])
-                if near]
-        return LocalityError(
-            f"level {n}: centers {hits} all within {Fraction(1, 2 ** n)} of point {x}")
+def separated_net(space: MetricSpace, n: int) -> List[int]:
+    """A maximal subset of D with pairwise distances >= 2^(2-n), built
+    greedily in D-enumeration order."""
+    near = space._closer_than(4, n)
+    blocked = np.zeros(space.n, dtype=bool)
+    chosen: List[int] = []
+    for p in range(space.n):
+        if not blocked[p]:
+            chosen.append(p)
+            blocked |= near[p]
+    return chosen
 
 
 class ContChain:
@@ -194,9 +154,7 @@ class ContChain:
         if violations:
             raise MetricAxiomError(violations[0])
         self.space = space
-        self.nets = SeparatedNets(space)
         self.stable_level = self._stable_level()
-        self.nets.level(max(self.stable_level - 1, 0))
 
     def _stable_level(self) -> int:
         """First level beyond which every net is all of D and the only
@@ -214,18 +172,24 @@ class ContChain:
         term at x as a numerator over L * 2^S, due to every d after that
         center.  Raises LocalityError at the first point with two centers."""
         space, top = self.space, self.stable_level
-        scale = space.scale
-        after = np.array(space.pos + [space.n])   # index -1: no center
+        pos = np.array(space.pos)
         terms = []
         for n in range(top):
-            centers = self.nets._centers(n)
-            faults = np.flatnonzero(centers == -2)
+            net = separated_net(space, n)
+            hits = space._closer_than(1, n, net)    # [x, c]: c within 2^(-n) of x
+            count = hits.sum(axis=1)
+            faults = np.flatnonzero(count > 1)
             if faults.size:
-                raise self.nets._locality_error(n, int(faults[0]))
-            has = centers >= 0
+                x = int(faults[0])
+                near = [c for c, hit in zip(net, hits[x]) if hit]
+                raise LocalityError(f"level {n}: centers {near} all within "
+                                    f"{Fraction(1, 2 ** n)} of point {x}")
+            has = count == 1
+            centers = np.asarray(net)[hits.argmax(axis=1)]
             term = np.zeros(space.n, dtype=space._m.dtype)
-            term[has] = (scale << (top - n)) - (space._m[has, centers[has]] << top)
-            terms.append((after[centers], term))
+            term[has] = ((space.scale << (top - n))
+                         - (space._m[has, centers[has]] << top))
+            terms.append((np.where(has, pos[centers], space.n), term))
         return terms
 
     @cached_property

@@ -417,14 +417,6 @@ def test_split_keeps_exception_bound():
     assert_valid(chain.cert(0, 2))
 
 
-def test_split_rejects_invalid_interval():
-    with pytest.raises(InvalidCertificateError):
-        SplitChain(default_certificate(EVENS, MULT4, 0))
-    with pytest.raises(InvalidCertificateError):
-        SplitChain(OrderCertificate(MULT4, EVENS, 0,        # only 2, 6, 10
-                                    diff(diff(EVENS, MULT4), ap(1, 11))))
-
-
 def test_split_chain_index_contracts():
     chain = SplitChain(base_cert(0, 1))
     for a, b in [(-1, 2), (2, 2), (3, 1), (-1, None)]:
@@ -453,14 +445,14 @@ def reference_tree_node(s):
     def interval(t):
         if len(t) == 1:
             return base_cert(t[0], t[0] + 1)
-        return SplitChain(interval(t[:-1]), validate=False).cert(t[-1], t[-1] + 1)
+        return SplitChain(interval(t[:-1])).cert(t[-1], t[-1] + 1)
 
     s = tuple(s)
     while len(s) > 1 and s[-1] == 0:
         s = s[:-1]
     if len(s) == 1:
         return rows(s[0])
-    return SplitChain(interval(s[:-1]), validate=False).z(s[-1])
+    return SplitChain(interval(s[:-1])).z(s[-1])
 
 
 def test_tree_zero_extension_is_identity():
@@ -620,26 +612,11 @@ def test_embed_zero_is_empty():
     assert str(exc.value) == "notation 0 is not below 0"
 
 
-def test_embed_rejects_invalid_interval():
-    with pytest.raises(InvalidCertificateError):
-        OrdinalEmbedding(parse_ordinal("w"),
-                         default_certificate(EVENS, MULT4, 0))
-
-
-def test_embed_invalid_interval_message():
-    with pytest.raises(InvalidCertificateError,
-                       match="^invalid interval certificate: surplus exhausted"):
-        OrdinalEmbedding(parse_ordinal("w"),
-                         default_certificate(EVENS, MULT4, 0))
-
-
-@pytest.mark.parametrize("validate", [True, False])
-def test_embed_rejects_explicit_surplus_at_construction(validate):
+def test_embed_rejects_explicit_surplus_at_construction():
     # the certificate itself refuses it, before any split could see it
     with pytest.raises(TypeError, match="surplus must be a LazySet, not list"):
         OrdinalEmbedding(parse_ordinal("w*2"),
-                         OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14]),
-                         validate=validate)
+                         OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14]))
 
 
 def reference_blocks(bound):
@@ -677,7 +654,7 @@ def test_block_slots_match_reference():
                 and not bound.terms[0][0].is_zero():
             continue                        # a limit power: segments
         ends, slots = reference_blocks(bound)
-        emb = OrdinalEmbedding(bound, default_interval(), validate=False)
+        emb = OrdinalEmbedding(bound, default_interval())
         order = list(range(len(ends)))
         if checked % 2:
             order.reverse()                 # ask for the last block first
@@ -741,8 +718,8 @@ class ReferenceEmbedding:
     terms by a library embedding of the same bound."""
 
     def __init__(self, bound, interval):
-        self.slots = OrdinalEmbedding(bound, interval, validate=False)
-        self.chain = SplitChain(interval, validate=False)
+        self.slots = OrdinalEmbedding(bound, interval)
+        self.chain = SplitChain(interval)
         self.subs = {}
 
     def lower_end(self, k):

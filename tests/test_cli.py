@@ -105,6 +105,17 @@ GOLDEN = [
         "FAIL invalid interval certificate: surplus exhausted: found only 0 "
         "elements of diff(ap(4,0),ap(2,0)) below 134217728\n",
         id="embed-invalid-interval"),
+    # split checks its interval as embed does
+    pytest.param(
+        ["split", "--interval", "ap(2,0),ap(4,0)", "--count", "2"], 1,
+        "FAIL invalid interval certificate: surplus exhausted: found only 0 "
+        "elements of diff(ap(4,0),ap(2,0)) below 134217728\n",
+        id="split-invalid-interval"),
+    # the ordinal is read before the interval is checked: `parse error:
+    # unexpected end of input` on stderr, and not the interval's FAIL
+    pytest.param(
+        ["embed", "--ordinal", "w+", "--interval", "ap(2,0),ap(4,0)"], 2, "",
+        id="embed-bad-ordinal-invalid-interval"),
     pytest.param(
         ["embed", "--ordinal", "w^(2)*2+w*3+4", "--interval", "ap(4,0),ap(2,0)",
          "--pairs", "10", "--depth", "16", "--seed", "5"], 0,
@@ -179,6 +190,10 @@ GOLDEN = [
         "PAIR 3 1 OK\nCHECKED 6 FAILED 0\n", id="cont-check-all"),
     pytest.param(["cont", "--space", "triangle.space", "--check-all"], 1,
                  "FAIL triangle 0 1 2\n", id="cont-triangle"),
+    # with neither --eval nor --check-all: the metric is checked, no net built
+    pytest.param(["cont", "--space", "two.space"], 0, "", id="cont-nothing-asked"),
+    pytest.param(["cont", "--space", "triangle.space"], 1,
+                 "FAIL triangle 0 1 2\n", id="cont-nothing-asked-triangle"),
 ]
 
 

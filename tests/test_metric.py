@@ -11,9 +11,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 import pytest
 
+from ordchain import metric
 from ordchain.metric import (ContChain, LocalityError, MetricAxiomError,
-                             MetricSpace, SeparatedNets, SpaceParseError,
-                             format_eval, parse_space)
+                             MetricSpace, SpaceParseError, format_eval,
+                             parse_space, separated_net)
 
 F = Fraction
 
@@ -36,6 +37,26 @@ def points_1d(points, order=None):
 def level_term(chain, n, d, x):
     """The level-n term of f_d(x): two truncated sums apart."""
     return chain.eval(d, x, truncate=n + 1)[0] - chain.eval(d, x, truncate=n)[0]
+
+
+def check_level(space, net, n):
+    """Separation and maximality violations of `net` as the level-n net of
+    `space` (empty if fine)."""
+    near = space._closer_than(4, n)
+    bad = [f"separation {net[a]} {net[b]}"
+           for a, b in np.argwhere(np.triu(near[np.ix_(net, net)], 1))]
+    covered = near[net].any(axis=0)
+    bad += [f"maximality {p}" for p in range(space.n)
+            if p not in net and not covered[p]]
+    return bad
+
+
+def set_level0(monkeypatch, level0):
+    """Make every net built at level 0 `level0`, a fault injected upstream
+    of the bumps."""
+    build = metric.separated_net
+    monkeypatch.setattr(metric, "separated_net",
+                        lambda space, n: level0 if n == 0 else build(space, n))
 
 
 def two_point_space():
@@ -199,43 +220,36 @@ def test_unreduced_pairs_of_either_sign():
 
 def test_two_point_net_levels():
     # thresholds 4, 2, 1, 1/2 against distance 1
-    nets = SeparatedNets(two_point_space())
-    assert nets.level(0) == [0]
-    assert nets.level(1) == [0]
-    assert nets.level(2) == [0, 1]
-    assert nets.level(3) == [0, 1]
+    ms = two_point_space()
+    assert [separated_net(ms, n) for n in range(4)] == [[0], [0], [0, 1], [0, 1]]
 
 
 def test_singleton_net():
-    nets = SeparatedNets(points_1d([F(7)]))
+    ms = points_1d([F(7)])
     for n in range(3):
-        assert nets.level(n) == [0]
+        assert separated_net(ms, n) == [0]
 
 
 def test_net_saturates_below_min_distance():
     ms = points_1d([F(0), F(1, 2), F(2)])
-    nets = SeparatedNets(ms)
     # 2^{2-n} <= 1/2 from n = 3 on
-    assert nets.level(3) == [0, 1, 2]
-    assert nets.level(5) == [0, 1, 2]
+    assert separated_net(ms, 3) == [0, 1, 2]
+    assert separated_net(ms, 5) == [0, 1, 2]
 
 
 def test_net_invariants_random():
     rng = random.Random(17)
     for _ in range(10):
         ms = random_space(rng, rng.randint(2, 12))
-        nets = SeparatedNets(ms)
         top = ContChain(ms).stable_level
         for n in range(top + 2):
-            assert nets.check_level(n) == []
+            assert check_level(ms, separated_net(ms, n), n) == []
 
 
 def test_check_level_catches_violations():
     ms = two_point_space()
-    nets = SeparatedNets(ms, levels=[[0, 1]])     # dist 1 < threshold 4
-    assert "separation 0 1" in nets.check_level(0)
-    nets = SeparatedNets(ms, levels=[[], [], [0]])
-    assert "maximality 1" in nets.check_level(2)
+    assert "separation 0 1" in check_level(ms, [0, 1], 0)   # dist 1 < 4
+    assert "maximality 1" in check_level(ms, [0], 2)
 
 
 def test_build_nets_rejects_bad_metric():
@@ -255,7 +269,8 @@ def test_phi_values():
     assert level_term(chain, 0, 1, 0) == 1        # center 0 at dist 0, level 0
     assert level_term(chain, 0, 1, 1) == 0        # dist 1 >= 2^0: no center
     chain3 = ContChain(points_1d([F(0), F(1, 8), F(10)]))
-    assert 0 in chain3.nets.level(2) and 1 not in chain3.nets.level(2)
+    net = separated_net(chain3.space, 2)
+    assert 0 in net and 1 not in net
     assert level_term(chain3, 2, 2, 1) == F(1, 8)  # 1/4 - 1/8
 
 
@@ -264,7 +279,7 @@ def test_psi_strictness_identity():
     ms = two_point_space()
     chain, ref = ContChain(ms), Reference(2, {(0, 1): F(1)}, [0, 1])
     for n in range(2, 4):
-        assert 0 in chain.nets.level(n)
+        assert 0 in separated_net(ms, n)
         assert level_term(chain, n, 0, 0) == ref.psi(n, 0, 0) == 0
         assert level_term(chain, n, 1, 0) == ref.psi(n, 1, 0) == F(1, 2 ** n)
 
@@ -345,7 +360,7 @@ def test_strictness_quantified():
     table = chain.value_table()
     for d in range(ms.n):
         n = next(n for n in range(chain.stable_level + 1)
-                 if d in chain.nets.level(n))
+                 if d in separated_net(ms, n))
         for e in range(ms.n):
             if ms.precedes(d, e):
                 assert table[e][d] - table[d][d] >= F(1, 2 ** n)
@@ -460,8 +475,9 @@ def test_kernel_matches_reference(dims, dens):
         top = chain.stable_level
         assert top == ref.stable_level()
         for level in range(top + 2):
-            assert chain.nets.level(level) == ref.net(level)
-            assert chain.nets.check_level(level) == []
+            net = separated_net(ms, level)
+            assert net == ref.net(level)
+            assert check_level(ms, net, level) == []
         table = chain.value_table()
         for d in range(n):
             for x in range(n):
@@ -523,17 +539,17 @@ def test_truncated_eval_far_beyond_stable_level():
             assert chain.eval(d, x, truncate=80) == ref.eval(d, x, 80)
 
 
-def test_integer_path_locality_fault_injection():
+def test_integer_path_locality_fault_injection(monkeypatch):
     ms = points_1d([F(0), F(1, 8), F(10)])
     ref = Reference(ms.n, {(0, 1): F(1, 8), (0, 2): F(10), (1, 2): F(79, 8)},
                     ms.order)
     ref.nets[0] = [0, 1]
     with pytest.raises(LocalityError) as expected:
         ref.psi(0, 1, 0)
+    set_level0(monkeypatch, [0, 1])               # corrupt: both as centers
     for run in (lambda c: c.value_table(), lambda c: c.eval(1, 0),
                 lambda c: c.pair_failure(0, 1)):
         chain = ContChain(ms)
-        chain.nets.levels[0] = [0, 1]             # corrupt: both as centers
         with pytest.raises(LocalityError) as err:
             run(chain)
         assert str(err.value) == str(expected.value)
@@ -559,7 +575,7 @@ def assert_exact_fractions(values):
 def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
     """The space of the int pairs `pairs` takes `dtype`, and it and its
     object twin give the same answers as each other and as `Reference`.
-    With `level0`, both chains' level-0 nets are set to it before anything
+    With `level0`, every level-0 net is built as it before anything
     is evaluated, and every evaluation must raise Reference's
     LocalityError."""
     ms = MetricSpace(n, pairs, order)
@@ -576,20 +592,20 @@ def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
     top = ref.stable_level()
     assert [c.stable_level for c in chains] == [top, top]
     for level in range(top + 2):
-        assert [c.nets.level(level) for c in chains] == [ref.net(level)] * 2
+        assert [separated_net(s, level) for s in spaces] == [ref.net(level)] * 2
     if level0 is not None:
-        for chain in chains:
-            chain.nets.levels[0] = level0
         ref.nets[0] = level0
         with pytest.raises(LocalityError) as fault:
             ref.eval(1, 0)
-        for chain in chains:
-            for run in (lambda: chain.value_table(), lambda: chain.eval(1, 0),
-                        lambda: chain.eval(1, 0, truncate=80),
-                        lambda: chain.pair_failure(0, 1)):
-                with pytest.raises(LocalityError) as err:
-                    run()
-                assert str(err.value) == str(fault.value)
+        with pytest.MonkeyPatch.context() as mp:
+            set_level0(mp, level0)
+            for chain in chains:
+                for run in (lambda: chain.value_table(), lambda: chain.eval(1, 0),
+                            lambda: chain.eval(1, 0, truncate=80),
+                            lambda: chain.pair_failure(0, 1)):
+                    with pytest.raises(LocalityError) as err:
+                        run()
+                    assert str(err.value) == str(fault.value)
         return
     assert chains[0]._table.tolist() == chains[1]._table.tolist()
     exact = [[ref.eval(d, x)[0] for x in range(n)] for d in range(n)]
