@@ -612,11 +612,16 @@ def test_embed_zero_is_empty():
     assert str(exc.value) == "notation 0 is not below 0"
 
 
-def test_embed_rejects_explicit_surplus_at_construction():
-    # the certificate itself refuses it, before any split could see it
+@pytest.mark.parametrize("embed", [True, False])
+def test_embed_rejects_explicit_surplus_at_construction(embed):
+    # the certificate itself refuses it, before an embedding (True) or a
+    # bare chain (False) could see it
     with pytest.raises(TypeError, match="surplus must be a LazySet, not list"):
-        OrdinalEmbedding(parse_ordinal("w*2"),
-                         OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14]))
+        cert = OrderCertificate(MULT4, EVENS, 0, [2, 6, 10, 14])
+        if embed:
+            OrdinalEmbedding(parse_ordinal("w*2"), cert)
+        else:
+            SplitChain(cert)
 
 
 def reference_blocks(bound):
