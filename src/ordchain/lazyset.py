@@ -32,8 +32,8 @@ s and has period T*2^(i+1), since 2^(i+1) periods of s add a multiple of
 c members in one period, piece(s,i) repeats every T*2^(i+1)/gcd(c, 2^(i+1))
 as well, which is shorter when c is even.
 
-Membership comes from a scan (`bits`, which `member` and `first_n` call):
-one post-order pass that computes each node's prefix from its children's.
+Membership comes from a scan (`bits`, which `first_n` calls): one
+post-order pass that computes each node's prefix from its children's.
 The prefixes live in a memo of that scan alone, each computed up to P + T
 and tiled past it.  A node keeps only a short fold, its members over
 [0, P + T) once P + T is at most _FOLD_LIMIT, and answers every later
@@ -156,10 +156,6 @@ class LazySet:
         if n > _SCAN_CAP:
             raise ResourceLimitError(f"scan bound {n} exceeds cap {_SCAN_CAP}")
         return _scan(self, n)
-
-    def member(self, n: int) -> bool:
-        """Whether n is a member: one `bits` prefix to n + 1."""
-        return n >= 0 and bool(self.bits(n + 1)[n])
 
     def first_n(self, count: int):
         """The `count` smallest elements; ResourceLimitError if fewer lie

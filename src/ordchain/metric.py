@@ -17,7 +17,8 @@ space keeps one n x n numpy matrix: every distance times L, the least common
 multiple of the denominators.  The metric check, the nets, the bump sums and
 the value table compare and add those integers; a value of f_d is a
 numerator over L * 2^S, S the stable level, beyond which the infinite level
-sum collapses to a closed form.  The matrix is int64 when every integer
+sum collapses to a closed form.  The space computes S once, when it is
+built, from its least distance.  The matrix is int64 when every integer
 computed from it fits, that is when twice the largest |L * d| and
 L * 2^(S+2) are both below 2^63, and Python ints (dtype object) otherwise;
 the code and the answers are the same either way.  Values leave the matrix
@@ -48,33 +49,15 @@ class SpaceParseError(ValueError):
     pass
 
 
-def _stable_level(least: int, scale: int) -> int:
-    """First level n with least distance * 2^n >= 4, on L-scaled integers."""
-    n = 0
-    while least << n < 4 * scale:
-        n += 1
-    return n
-
-
-def _fits_int64(values: List[int], scale: int) -> bool:
-    """Whether every integer the metric layer computes from the L-scaled
-    distances `values` fits in int64: a sum of two of them (the triangle
-    check) and L * 2^(S+2), S the stable level of the least positive one,
-    which bounds every net threshold, bump term and value-table entry."""
-    positive = [v for v in values if v > 0]
-    level = _stable_level(min(positive), scale) if positive else 0
-    return (2 * max(map(abs, values), default=0) < 2 ** 63
-            and scale << (level + 2) < 2 ** 63)
-
-
 class MetricSpace:
     """Finite point set with exact rational metric and a total order on the
     (dense = full) point set.  `dists[(i, j)]`, for every i < j, is the
     distance as an int pair (p, q), q nonzero of either sign and p/q not
     necessarily reduced.  `scale` is L, the least common multiple of the
     q's, and `_m[i, j]` is L * d(i, j): int64 when 2 * max |L * d| and
-    L * 2^(S+2) are below 2^63, S the stable level of the least positive
-    distance, else Python ints."""
+    L * 2^(S+2) are below 2^63, else Python ints.  `stable_level` is S,
+    the first level n with least positive distance * 2^n >= 4, or 0 if
+    no distance is positive."""
 
     def __init__(self, n_points: int, dists: Dict[Tuple[int, int], Tuple[int, int]],
                  order: Sequence[int]):
@@ -98,7 +81,16 @@ class MetricSpace:
         self.scale = math.lcm(*(q for _, q in dists.values()))
         # L // q is exact for either sign of q
         values = [p * (self.scale // q) for p, q in dists.values()]
-        dtype = np.int64 if _fits_int64(values, self.scale) else object
+        least = min((v for v in values if v > 0), default=4 * self.scale)
+        self.stable_level = 0
+        while least << self.stable_level < 4 * self.scale:
+            self.stable_level += 1
+        # every integer the metric layer computes fits in int64: a sum of
+        # two distances (the triangle check) and L * 2^(S+2), which bounds
+        # every net threshold, bump term and value-table entry
+        fits = (2 * max(map(abs, values), default=0) < 2 ** 63
+                and self.scale << (self.stable_level + 2) < 2 ** 63)
+        dtype = np.int64 if fits else object
         # pair indices in the order given, for validate
         self._rows, self._cols = np.array(list(dists), dtype=np.intp).reshape(-1, 2).T
         self._m = np.zeros((self.n, self.n), dtype=dtype)     # zero diagonal
@@ -154,16 +146,9 @@ class ContChain:
         if violations:
             raise MetricAxiomError(violations[0])
         self.space = space
-        self.stable_level = self._stable_level()
-
-    def _stable_level(self) -> int:
-        """First level beyond which every net is all of D and the only
-        center within bump range of a point is the point itself."""
-        space = self.space
-        if space.n < 2:
-            return 0
-        return _stable_level(int(space._m[np.triu_indices(space.n, 1)].min()),
-                             space.scale)
+        # the first level beyond which every net is all of D and the only
+        # center within bump range of a point is the point itself
+        self.stable_level = space.stable_level
 
     @cached_property
     def _terms(self) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -259,6 +244,9 @@ def parse_space(text: str) -> MetricSpace:
             continue
         fields = line.split()
         try:
+            if (fields[0] == "points" and n is not None
+                    or fields[0] == "order" and order is not None):
+                raise ValueError(f"repeated {fields[0]!r} line")
             if fields[0] == "points":
                 _, n = fields
                 n = int(n)

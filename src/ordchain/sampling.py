@@ -1,10 +1,10 @@
 """Deterministic random sampling of ordinal notations.
 
-Draws come from `random_notation`'s fixed range: below w^5, with
-coefficients at most 2 and a trailing natural at most 3.  Probing no longer
-needs the range, as the certificates of larger notations are proved from
-their structure and not probed.  Drawing from the whole bound is an open
-item in ROADMAP.md, "Sample pairs from the whole bound".
+Draws come from a fixed range: below w^5, with coefficients at most 2 and
+a trailing natural at most 3.  Probing no longer needs the range, as the
+certificates of larger notations are proved from their structure and not
+probed.  Drawing from the whole bound is an open item in ROADMAP.md,
+"Sample pairs from the whole bound".
 """
 
 from __future__ import annotations
@@ -21,25 +21,12 @@ MAX_TRAILING_NAT = 3
 MAX_TRIES = 10000
 
 
-def _raw_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
-                  max_coeff: int = MAX_COEFF, max_terms: int = MAX_TERMS,
-                  max_nat: int = MAX_TRAILING_NAT) -> Tuple[Tuple[int, int], ...]:
-    """The (exponent, coefficient) naturals of a `random_notation` draw."""
-    n_terms = rng.randint(1, min(max_terms, max_exponent + 1))
-    exponents = sorted(rng.sample(range(max_exponent + 1), n_terms), reverse=True)
-    return tuple((e, rng.randint(1, max_nat if e == 0 else max_coeff))
+def _raw_notation(rng: random.Random) -> Tuple[Tuple[int, int], ...]:
+    """The (exponent, coefficient) naturals of one draw from the range."""
+    n_terms = rng.randint(1, MAX_TERMS)
+    exponents = sorted(rng.sample(range(MAX_EXPONENT + 1), n_terms), reverse=True)
+    return tuple((e, rng.randint(1, MAX_TRAILING_NAT if e == 0 else MAX_COEFF))
                  for e in exponents)
-
-
-def _build(raw: Tuple[Tuple[int, int], ...]) -> Ordinal:
-    return Ordinal(tuple((Ordinal.from_int(e), c) for e, c in raw))
-
-
-def random_notation(rng: random.Random, max_exponent: int = MAX_EXPONENT,
-                    max_coeff: int = MAX_COEFF, max_terms: int = MAX_TERMS,
-                    max_nat: int = MAX_TRAILING_NAT) -> Ordinal:
-    """A random notation below w^(max_exponent + 1)."""
-    return _build(_raw_notation(rng, max_exponent, max_coeff, max_terms, max_nat))
 
 
 class NoPairsError(ValueError):
@@ -56,8 +43,8 @@ def _finite(a: Ordinal) -> Optional[int]:
 
 def _draws(bound: Ordinal, rng: random.Random) -> Iterator[Ordinal]:
     """Notations strictly below `bound`, one per `next`: uniform below a
-    finite bound, else rejection-sampled from `random_notation`.  A raw
-    draw is built and compared with the bound once per stream."""
+    finite bound, else rejection-sampled from the range.  A raw draw is
+    built and compared with the bound once per stream."""
     n = _finite(bound)
     while n is not None:
         yield Ordinal.from_int(rng.randrange(n))
@@ -66,19 +53,13 @@ def _draws(bound: Ordinal, rng: random.Random) -> Iterator[Ordinal]:
         for _ in range(MAX_TRIES):
             raw = _raw_notation(rng)
             if raw not in below:
-                a = _build(raw)
+                a = Ordinal(tuple((Ordinal.from_int(e), c) for e, c in raw))
                 below[raw] = a if compare(a, bound) == LT else None
             if below[raw] is not None:
                 yield below[raw]
                 break
         else:
             raise ValueError(f"could not sample below {bound}")
-
-
-def sample_below(bound: Ordinal, rng: random.Random) -> Ordinal:
-    """A notation strictly below `bound`: uniform below a finite bound,
-    else rejection-sampled from `random_notation`."""
-    return next(_draws(bound, rng))
 
 
 def sample_comparable_pairs(bound: Ordinal, count: int,

@@ -83,6 +83,8 @@ GOLDEN_FILES = {
                   "dist 1 2 4/1\ndist 1 3 9/1\ndist 2 3 5/1\norder 2 0 3 1\n",
     "triangle.space": "points 3\ndist 0 1 5/1\ndist 0 2 1/1\ndist 1 2 1/1\n"
                       "order 0 1 2\n",
+    "points-twice.space": "points 2\ndist 0 1 1/1\npoints 2\norder 0 1\n",
+    "order-twice.space": "points 2\ndist 0 1 1/1\norder 0 1\norder 1 0\n",
     "good.cert": "cert{m=0, lower=ap(4,0), upper=ap(2,0)}\n",
     "bad.cert": "cert{m=0, lower=ap(4,0), upper=inter(ap(2,0),ap(1,1))}\n",
     "exhausted.cert": "cert{m=0, lower=rows(2), upper=rows(1)}\n",
@@ -190,6 +192,11 @@ GOLDEN = [
         "PAIR 3 1 OK\nCHECKED 6 FAILED 0\n", id="cont-check-all"),
     pytest.param(["cont", "--space", "triangle.space", "--check-all"], 1,
                  "FAIL triangle 0 1 2\n", id="cont-triangle"),
+    # a second `points` or `order` line is a parse error, not a replacement
+    pytest.param(["cont", "--space", "points-twice.space", "--eval", "1,0"], 2, "",
+                 id="cont-repeated-points"),
+    pytest.param(["cont", "--space", "order-twice.space", "--eval", "1,0"], 2, "",
+                 id="cont-repeated-order"),
     # with neither --eval nor --check-all: the metric is checked, no net built
     pytest.param(["cont", "--space", "two.space"], 0, "", id="cont-nothing-asked"),
     pytest.param(["cont", "--space", "triangle.space"], 1,
@@ -591,6 +598,16 @@ def test_baire_zero_pairs(capsys):
     code, out, _ = run(capsys, "baire", "--ordinal", "w", "--pairs", "0")
     assert code == 0
     assert out.strip() == "CHECKED 0 FAILED 0"
+
+
+@pytest.mark.parametrize("name, line", [
+    ("points-twice.space", "line 3: repeated 'points' line"),
+    ("order-twice.space", "line 4: repeated 'order' line"),
+])
+def test_repeated_space_line_names_it(capsys, tmp_path, name, line):
+    space = write(tmp_path, name, GOLDEN_FILES[name])
+    assert run(capsys, "cont", "--space", space, "--eval", "1,0") == (
+        USAGE_ERROR, "", f"parse error: {line}\n")
 
 
 @pytest.mark.parametrize("argv, err", [

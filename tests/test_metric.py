@@ -574,10 +574,10 @@ def assert_exact_fractions(values):
 
 def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
     """The space of the int pairs `pairs` takes `dtype`, and it and its
-    object twin give the same answers as each other and as `Reference`.
-    With `level0`, every level-0 net is built as it before anything
-    is evaluated, and every evaluation must raise Reference's
-    LocalityError."""
+    object twin give the same answers as each other and as `Reference`,
+    the stable level of space and chain among them.  With `level0`, every
+    level-0 net is built as it before anything is evaluated, and every
+    evaluation must raise Reference's LocalityError."""
     ms = MetricSpace(n, pairs, order)
     ref = Reference(n, {key: F(p, q) for key, (p, q) in pairs.items()}, order)
     spaces = [ms, object_twin(ms)]
@@ -590,7 +590,8 @@ def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
         return
     chains = [ContChain(s) for s in spaces]
     top = ref.stable_level()
-    assert [c.stable_level for c in chains] == [top, top]
+    for space, chain in zip(spaces, chains):
+        assert space.stable_level == chain.stable_level == top
     for level in range(top + 2):
         assert [separated_net(s, level) for s in spaces] == [ref.net(level)] * 2
     if level0 is not None:
@@ -666,6 +667,12 @@ LIMIT_SPACES = [
 @pytest.mark.parametrize("pairs, dtype", LIMIT_SPACES)
 def test_dtype_follows_the_int64_limit(pairs, dtype):
     assert_dtypes_agree(3, pairs, [2, 0, 1], dtype)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_spaces_below_two_points_have_stable_level_0(n):
+    assert MetricSpace(n, {}, list(range(n))).stable_level == 0
+    assert_dtypes_agree(n, {}, list(range(n)))
 
 
 # ---------------------------------------------------------------------------

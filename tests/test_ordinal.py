@@ -17,7 +17,8 @@ from ordchain.ordinal import (LT, EQ, GT, MAX_NESTING, OMEGA, ONE, ZERO,
                               format_ordinal, fundamental_index,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
-from ordchain.sampling import (NoPairsError, random_notation, sample_below,
+from ordchain.sampling import (MAX_COEFF, MAX_EXPONENT, MAX_TERMS,
+                               MAX_TRAILING_NAT, NoPairsError,
                                sample_comparable_pairs)
 
 
@@ -60,6 +61,33 @@ def to_oracle(a: Ordinal):
 
 def from_oracle(terms):
     return Ordinal(tuple((Ordinal.from_int(e), c) for e, c in terms))
+
+
+# ---------------------------------------------------------------------------
+# Generators for the tests, over any range.  With the default range they
+# make the RNG calls the library's pair sampler makes.
+
+def random_notation(rng, max_exponent=MAX_EXPONENT, max_coeff=MAX_COEFF,
+                    max_terms=MAX_TERMS, max_nat=MAX_TRAILING_NAT):
+    """A random notation below w^(max_exponent + 1): up to `max_terms`
+    terms, coefficients up to `max_coeff`, a trailing natural up to
+    `max_nat`."""
+    n_terms = rng.randint(1, min(max_terms, max_exponent + 1))
+    exponents = sorted(rng.sample(range(max_exponent + 1), n_terms), reverse=True)
+    return Ordinal(tuple((Ordinal.from_int(e),
+                          rng.randint(1, max_nat if e == 0 else max_coeff))
+                         for e in exponents))
+
+
+def sample_below(bound, rng):
+    """A notation strictly below `bound`: uniform below a finite bound,
+    else `random_notation` until `compare` puts the draw below the bound."""
+    if compare(bound, OMEGA) == LT:
+        return Ordinal.from_int(rng.randrange(bound.terms[0][1]))
+    while True:
+        a = random_notation(rng)
+        if compare(a, bound) == LT:
+            return a
 
 
 def small_notation(rng):
@@ -381,19 +409,11 @@ def test_hash_consistency():
 
 
 def reference_comparable_pairs(bound, count, rng):
-    """The pair sampler with every draw built afresh: uniform below a
-    finite bound, else `random_notation` until `compare` puts the draw
-    below the bound; equal pairs are drawn again."""
-    def below():
-        if compare(bound, OMEGA) == LT:
-            return Ordinal.from_int(rng.randrange(bound.terms[0][1]))
-        while True:
-            a = random_notation(rng)
-            if compare(a, bound) == LT:
-                return a
+    """The pair sampler with every draw built afresh by `sample_below`;
+    equal pairs are drawn again."""
     out = []
     while len(out) < count:
-        a, b = below(), below()
+        a, b = sample_below(bound, rng), sample_below(bound, rng)
         if compare(a, b) != EQ:
             out.append((a, b) if compare(a, b) == LT else (b, a))
     return out
@@ -402,8 +422,8 @@ def reference_comparable_pairs(bound, count, rng):
 def test_sample_below_respects_bound():
     rng = random.Random(9)
     bound = parse_ordinal("w^(2)")
-    for _ in range(100):
-        assert compare(sample_below(bound, rng), bound) == LT
+    for a, b in sample_comparable_pairs(bound, 100, rng):
+        assert compare(a, bound) == LT and compare(b, bound) == LT
     # the stream of draws is the reference's, pair for pair
     for text in ["7", "w", "w^(2)+w*3+5", "w^(w)", "w^(w)+w^(3)", "w^(w^(w))"]:
         bound = parse_ordinal(text)
