@@ -104,7 +104,8 @@ def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
 
 def _pair_checks(args, interval: Optional[str], bound: int, check) -> int:
     """Report `check(embedding, a, b, depth)` for each of `--pairs` seeded
-    pairs a < b below `--ordinal`, embedded into the interval."""
+    pairs a < b below `--ordinal`, embedded into the interval.  Each pair
+    is checked as it is drawn, so no run holds its pairs in memory."""
     xi = parse_ordinal(args.ordinal)
     embedding = OrdinalEmbedding(xi, _interval_cert(interval, bound))
     pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \

@@ -166,7 +166,7 @@ def test_criterion_6_baire_chain(announce):
     xi = parse_ordinal("w^(2)")
     emb = OrdinalEmbedding(xi, default_interval())
     rng = random.Random(106)
-    pairs = sample_comparable_pairs(xi, 100, rng)
+    pairs = list(sample_comparable_pairs(xi, 100, rng))
     report = ChainReport()
     for a, b in pairs:
         report.add("", pair_failure(emb, a, b, 32))

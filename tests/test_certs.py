@@ -806,7 +806,7 @@ def test_cert_queries_match_reference(interval):
                  "w^(w^(w))", "12"]:
         xi = parse_ordinal(text)
         emb, ref = OrdinalEmbedding(xi, interval), ReferenceEmbedding(xi, interval)
-        pairs = sample_comparable_pairs(xi, 60, random.Random(61))
+        pairs = list(sample_comparable_pairs(xi, 60, random.Random(61)))
         # each pair again, in reverse order, answered from the located notations
         for a, b in pairs + pairs[::-1]:
             assert same_certificate(emb.cert(a, b), ref.cert(a, b)), (text, a, b)

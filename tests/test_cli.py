@@ -95,12 +95,12 @@ GOLDEN = [
     pytest.param(
         ["embed", "--ordinal", "w^(2)+1", "--pairs", "4", "--depth", "8",
          "--seed", "3"], 0,
-        "PAIR 1 2 OK\nPAIR w*2 w^(2) OK\nPAIR 3 w^(2) OK\nPAIR w w^(2) OK\n"
+        "PAIR w*2 w*2+2 OK\nPAIR 2 w OK\nPAIR w+1 w^(2) OK\nPAIR w+1 w^(2) OK\n"
         "CHECKED 4 FAILED 0\n", id="embed"),
     pytest.param(
         ["embed", "--ordinal", "w", "--interval", "ap(4,0),ap(2,0)",
          "--pairs", "3", "--depth", "8"], 0,
-        "PAIR 1 2 OK\nPAIR 1 3 OK\nPAIR 2 3 OK\nCHECKED 3 FAILED 0\n",
+        "PAIR 1 2 OK\nPAIR 2 3 OK\nPAIR 1 3 OK\nCHECKED 3 FAILED 0\n",
         id="embed-interval"),
     pytest.param(
         ["embed", "--ordinal", "w", "--interval", "ap(2,0),ap(4,0)"], 1,
@@ -121,29 +121,29 @@ GOLDEN = [
     pytest.param(
         ["embed", "--ordinal", "w^(2)*2+w*3+4", "--interval", "ap(4,0),ap(2,0)",
          "--pairs", "10", "--depth", "16", "--seed", "5"], 0,
-        "PAIR w w^(2)*2+1 OK\nPAIR 3 w*2 OK\nPAIR w*2 w^(2)*2+2 OK\n"
-        "PAIR w*2 w^(2)*2 OK\nPAIR w*2+1 w^(2)*2 OK\nPAIR w*2 w^(2)+w OK\n"
-        "PAIR w*2+2 w^(2)+w OK\nPAIR 2 w*2+2 OK\nPAIR 2 w^(2)*2 OK\n"
-        "PAIR w w^(2)+w OK\nCHECKED 10 FAILED 0\n", id="embed-blocks-interval"),
+        "PAIR w w^(2)*2+w OK\nPAIR w*2 w^(2)*2+3 OK\nPAIR w+3 w^(2)+3 OK\n"
+        "PAIR w*2+3 w^(2)*2+3 OK\nPAIR 3 w^(2)*2+w*2 OK\nPAIR w*2+3 w^(2) OK\n"
+        "PAIR 2 w+2 OK\nPAIR w w^(2)*2+w*2 OK\nPAIR w^(2) w^(2)*2 OK\n"
+        "PAIR w*2 w^(2)*2 OK\nCHECKED 10 FAILED 0\n", id="embed-blocks-interval"),
     pytest.param(
         ["baire", "--ordinal", "w*2", "--pairs", "4", "--depth", "8"], 0,
-        "PAIR 2 w+1 OK\nPAIR 1 3 OK\nPAIR 1 w OK\nPAIR 2 w OK\n"
+        "PAIR 1 w OK\nPAIR 1 2 OK\nPAIR 2 3 OK\nPAIR 1 w+1 OK\n"
         "CHECKED 4 FAILED 0\n", id="baire"),
     pytest.param(
         ["baire", "--ordinal", "w^(w)", "--pairs", "12", "--depth", "16",
          "--seed", "3"], 0,
-        "PAIR w^(4) w^(4)+w^(3) OK\nPAIR w^(2)+w*2 w^(3)+w OK\n"
-        "PAIR w^(2) w^(4)+3 OK\nPAIR w^(2)+w w^(4)*2+w^(3)*2 OK\n"
-        "PAIR w^(3) w^(3)*2+w^(2)*2 OK\nPAIR w^(2) w^(4)+w^(3)*2 OK\n"
-        "PAIR w^(2)+2 w^(4)+3 OK\nPAIR 2 w^(2)+2 OK\n"
-        "PAIR w^(3)+3 w^(3)*2 OK\nPAIR 1 w^(4)+w*2 OK\n"
-        "PAIR w*2 w^(4)+w^(2) OK\nPAIR w^(4)+w^(2)*2 w^(4)+w^(3)*2 OK\n"
+        "PAIR w^(2)*2 w^(4)*2+w OK\nPAIR w^(3) w^(4)*2+w^(2) OK\n"
+        "PAIR w*2 w*2+1 OK\nPAIR w^(4)+w^(3) w^(4)*2+w*2 OK\n"
+        "PAIR w^(4)+3 w^(4)+w*2 OK\nPAIR w^(4)*2 w^(4)*2+w*2 OK\n"
+        "PAIR w+3 w^(4) OK\nPAIR w^(2)*2+w*2 w^(4)+w^(3) OK\n"
+        "PAIR w^(2)*2 w^(4)*2+w^(2)*2 OK\nPAIR w^(3)+w*2 w^(4)+w^(3) OK\n"
+        "PAIR w^(2)*2+w*2 w^(4)*2+w^(2) OK\nPAIR w^(4)+w^(3) w^(4)*2+w^(2) OK\n"
         "CHECKED 12 FAILED 0\n", id="baire-limit-power"),
     pytest.param(
         ["baire", "--ordinal", "w*3+2", "--pairs", "8", "--depth", "8",
          "--seed", "2"], 0,
-        "PAIR 1 2 OK\nPAIR w w*2 OK\nPAIR w w*2 OK\nPAIR 1 2 OK\nPAIR 3 w OK\n"
-        "PAIR w+3 w*2 OK\nPAIR 1 w*2 OK\nPAIR 2 w+2 OK\nCHECKED 8 FAILED 0\n",
+        "PAIR w w*2 OK\nPAIR w w+3 OK\nPAIR 3 w+2 OK\nPAIR 3 w*2+1 OK\nPAIR 2 w*2 OK\n"
+        "PAIR 2 w OK\nPAIR 2 3 OK\nPAIR 1 w OK\nCHECKED 8 FAILED 0\n",
         id="baire-blocks"),
     pytest.param(
         ["split", "--count", "2", "--depth", "8"], 0,
@@ -179,7 +179,7 @@ GOLDEN = [
     pytest.param(
         ["embed", "--ordinal", "w", "--interval", "empty,ap(10000000,3)",
          "--pairs", "3"], 0,
-        "PAIR 1 2 OK\nPAIR 1 3 OK\nPAIR 2 3 OK\nCHECKED 3 FAILED 0\n",
+        "PAIR 1 2 OK\nPAIR 2 3 OK\nPAIR 1 3 OK\nCHECKED 3 FAILED 0\n",
         id="embed-sparse-progression"),
     pytest.param(["cont", "--space", "two.space", "--eval", "1,0"], 0,
                  "f 1 at 0 = 2/1 (+/- 0)\n", id="cont-eval"),
@@ -216,9 +216,9 @@ def test_golden_output_streams_until_depth_cap():
     proc = run_fresh("embed", "--ordinal", "w^(w)", "--pairs", "40",
                      "--depth", "4", TC_DEPTH_CAP="20")
     assert (proc.returncode, proc.stdout) == (1, (
-        "PAIR w^(3)*2+3 w^(3)*2+w^(2)*2 OK\n"
-        "PAIR w*2+3 w^(4) OK\n"
-        "PAIR w^(2) w^(2)*2 OK\n"
+        "PAIR 1 w^(2)+1 OK\n"
+        "PAIR w^(2)*2+3 w^(3)+2 OK\n"
+        "PAIR 2 w^(4) OK\n"
         "FAIL expression depth 21 exceeds cap 20\n"))
 
 
@@ -226,9 +226,9 @@ def test_baire_streams_until_depth_cap():
     proc = run_fresh("baire", "--ordinal", "w^(w)", "--pairs", "40",
                      "--depth", "4", TC_DEPTH_CAP="20")
     assert (proc.returncode, proc.stdout) == (1, (
-        "PAIR w^(3)*2+3 w^(3)*2+w^(2)*2 OK\n"
-        "PAIR w*2+3 w^(4) OK\n"
-        "PAIR w^(2) w^(2)*2 OK\n"
+        "PAIR 1 w^(2)+1 OK\n"
+        "PAIR w^(2)*2+3 w^(3)+2 OK\n"
+        "PAIR 2 w^(4) OK\n"
         "FAIL expression depth 21 exceeds cap 20\n"))
 
 
@@ -295,7 +295,7 @@ def test_embed_large_coefficient_builds_no_block_up_front():
     proc = run_fresh("embed", "--ordinal", "w*10000000", "--pairs", "2",
                      "--depth", "4", code=MAIN_PEAK, timeout=20)
     assert (proc.returncode, proc.stdout) == (
-        0, "PAIR w+1 w*2+3 OK\nPAIR 2 w OK\nCHECKED 2 FAILED 0\n")
+        0, "PAIR 1 w*2+1 OK\nPAIR w+1 w*2+2 OK\nCHECKED 2 FAILED 0\n")
     assert int(proc.stderr.split()[-1]) < 100 * 1024
 
 
@@ -441,7 +441,8 @@ def test_nesting_past_the_cap_is_a_parse_error(command):
     assert "Traceback" not in proc.stderr
 
 
-DEEP_PAIRS = "PAIR w^(3)*2+2 w^(4) OK\nPAIR w*2+1 w^(3)*2+2 OK\nCHECKED 2 FAILED 0\n"
+DEEP_PAIRS = ("PAIR w^(3) w^(4)+w OK\nPAIR w^(2)+1 w^(2)+w OK\n"
+              "CHECKED 2 FAILED 0\n")
 
 
 @pytest.mark.parametrize("argv,rc,out", [
@@ -449,7 +450,7 @@ DEEP_PAIRS = "PAIR w^(3)*2+2 w^(4) OK\nPAIR w*2+1 w^(3)*2+2 OK\nCHECKED 2 FAILED
     (("baire", "--ordinal", "w^(w*500)", "--seed", "1"), 0, DEEP_PAIRS),
     (("baire", "--ordinal", "w^(w*2000)", "--seed", "1"), 0, DEEP_PAIRS),
     (("baire", "--ordinal", "w^(w^(30)*31+w^(7)*20)*34", "--seed", "3"), 0,
-     "PAIR w^(4) w^(4)+w^(3) OK\nPAIR w^(2)+w*2 w^(3)+w OK\n"
+     "PAIR w^(2)*2 w^(4)*2+w OK\nPAIR w^(3) w^(4)*2+w^(2) OK\n"
      "CHECKED 2 FAILED 0\n"),
     (("baire", "--ordinal", "w^(w*1000000)"), 1,
      "FAIL expression depth 10001 exceeds cap 10000\n"),

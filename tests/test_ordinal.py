@@ -5,10 +5,13 @@ The oracle models ordinals below w^w as descending lists of
 addition directly on those lists, with no shared code.
 """
 
+import collections
 import copy
 import functools
+import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +20,7 @@ from ordchain.ordinal import (LT, EQ, GT, MAX_NESTING, OMEGA, ONE, ZERO,
                               format_ordinal, fundamental_index,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
+from ordchain import sampling
 from ordchain.sampling import (MAX_COEFF, MAX_EXPONENT, MAX_TERMS,
                                MAX_TRAILING_NAT, NoPairsError,
                                sample_comparable_pairs)
@@ -64,8 +68,9 @@ def from_oracle(terms):
 
 
 # ---------------------------------------------------------------------------
-# Generators for the tests, over any range.  With the default range they
-# make the RNG calls the library's pair sampler makes.
+# Generators for the tests, over any range.  With the default range,
+# conditioned below a bound, their law is the one the library's pair sampler
+# draws from (by other RNG calls).
 
 def random_notation(rng, max_exponent=MAX_EXPONENT, max_coeff=MAX_COEFF,
                     max_terms=MAX_TERMS, max_nat=MAX_TRAILING_NAT):
@@ -80,8 +85,9 @@ def random_notation(rng, max_exponent=MAX_EXPONENT, max_coeff=MAX_COEFF,
 
 
 def sample_below(bound, rng):
-    """A notation strictly below `bound`: uniform below a finite bound,
-    else `random_notation` until `compare` puts the draw below the bound."""
+    """A notation strictly below `bound`: uniform below a finite bound, as
+    the library draws it, else `random_notation` until `compare` puts the
+    draw below the bound."""
     if compare(bound, OMEGA) == LT:
         return Ordinal.from_int(rng.randrange(bound.terms[0][1]))
     while True:
@@ -410,7 +416,8 @@ def test_hash_consistency():
 
 def reference_comparable_pairs(bound, count, rng):
     """The pair sampler with every draw built afresh by `sample_below`;
-    equal pairs are drawn again."""
+    equal pairs are drawn again.  Below a finite bound it makes the
+    library's RNG calls."""
     out = []
     while len(out) < count:
         a, b = sample_below(bound, rng), sample_below(bound, rng)
@@ -424,13 +431,96 @@ def test_sample_below_respects_bound():
     bound = parse_ordinal("w^(2)")
     for a, b in sample_comparable_pairs(bound, 100, rng):
         assert compare(a, bound) == LT and compare(b, bound) == LT
-    # the stream of draws is the reference's, pair for pair
-    for text in ["7", "w", "w^(2)+w*3+5", "w^(w)", "w^(w)+w^(3)", "w^(w^(w))"]:
+    # below a finite bound the stream of draws is the reference's, pair for
+    # pair; below an infinite one only the law is (next test)
+    for text in ["2", "7"]:
         bound = parse_ordinal(text)
         for seed in range(200):
-            assert sample_comparable_pairs(bound, 10, random.Random(seed)) \
+            assert list(sample_comparable_pairs(bound, 10, random.Random(seed))) \
                 == reference_comparable_pairs(bound, 10, random.Random(seed)), \
                 (text, seed)
+
+
+class ScriptedRandom:
+    """Stands in for random.Random in `random_notation`: its k-th call takes
+    option script[k] (option 0 past the script's end), and `widths` records
+    how many options each call had."""
+
+    def __init__(self, script):
+        self.script, self.widths = script, []
+
+    def _choose(self, width):
+        k = len(self.widths)
+        self.widths.append(width)
+        return self.script[k] if k < len(self.script) else 0
+
+    def randint(self, a, b):
+        return a + self._choose(b - a + 1)
+
+    def sample(self, population, k):
+        pool = list(population)
+        return [pool.pop(self._choose(len(pool))) for _ in range(k)]
+
+
+@functools.lru_cache(maxsize=1)
+def notation_law():
+    """The exact law of `random_notation(rng)`: every script of choices is
+    walked, and an outcome's probability is the sum over the scripts that
+    give it of the product of 1/width over their calls."""
+    law = collections.defaultdict(Fraction)
+    scripts = [()]
+    while scripts:
+        script = scripts.pop()
+        rng = ScriptedRandom(script)
+        a = random_notation(rng)
+        if len(rng.widths) > len(script):   # branch on the first unscripted call
+            scripts += [script + (i,) for i in range(rng.widths[len(script)])]
+        else:
+            law[a] += math.prod(Fraction(1, w) for w in rng.widths)
+    assert sum(law.values()) == 1
+    return dict(law)
+
+
+LAW_PAIRS = 3000
+
+
+@pytest.mark.parametrize("text", ["w", "w*2+3", "w^(2)+1", "w^(2)+w*3+5",
+                                  "w^(w)", "w^(w)+w^(3)", "w^(w^(w))"])
+def test_pair_draws_follow_the_exact_law(text):
+    bound = parse_ordinal(text)
+    law = notation_law()
+    # the library's table holds the same law, weight for weight
+    notations, weights = sampling._table()
+    assert {a: Fraction(w, sum(weights)) for a, w in zip(notations, weights)} \
+        == law
+    below = {a: p for a, p in law.items() if compare(a, bound) == LT}
+    total = sum(below.values())
+    law = {a: p / total for a, p in below.items()}
+    seen = collections.Counter()
+    for a, b in sample_comparable_pairs(bound, LAW_PAIRS, random.Random(29)):
+        assert compare(a, b) == LT and compare(b, bound) == LT
+        seen.update((a, b))
+    # every notation of positive probability is drawn, and no other
+    assert set(seen) == set(law)
+    # a pair is two draws, drawn again while equal, so x is one of its ends
+    # with chance m = 2 p (1 - p) / (1 - sum of p^2); each count is
+    # Binomial(LAW_PAIRS, m), and stays within 5 standard deviations
+    same = sum(p * p for p in law.values())
+    for a, p in law.items():
+        m = 2 * p * (1 - p) / (1 - same)
+        mean = LAW_PAIRS * m
+        assert (seen[a] - mean) ** 2 <= 25 * mean * (1 - m), \
+            (text, str(a), seen[a], float(mean))
+
+
+def test_pairs_are_drawn_as_they_are_taken():
+    # nothing is drawn up front, so the first of 10^12 pairs comes at once,
+    # and it is the first pair of a request for one
+    bound = parse_ordinal("w^(w)")
+    pairs = sample_comparable_pairs(bound, 10 ** 12, random.Random(0))
+    first = next(pairs)
+    assert compare(*first) == LT
+    assert [first] == list(sample_comparable_pairs(bound, 1, random.Random(0)))
 
 
 def test_no_pair_lies_below_zero():
