@@ -45,9 +45,12 @@ Three facts are proved from the structure of the expressions, with no
 scan: `subset(a, b)`, `disjoint(a, b)` and `infinite(s)`.  Each answers
 True only with a proof by sound rules, such as piece(s,i) ⊆ s, distinct
 pieces of one parent are disjoint, and x ⊆ union(x, y); piece-free nodes
-with a short P + T are decided from their fold.  An answer is kept on the
-node, so a repeated question costs one lookup, and, like a shape, it is a
-fact about the expression.
+with a short P + T are decided from their fold.  A union is read only as
+its summands, the non-union nodes reached through union children, found
+by one walk a question.  Whether a node is piece-free is fixed when it is
+built, like its depth and shape.  An answer is kept on the node, so a
+repeated question costs one lookup, and, like a shape, it is a fact about
+the expression.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class LazySet:
     """Interned expression node; construct via the module factories."""
 
     __slots__ = ("kind", "nats", "children", "depth", "_text", "_bits", "_shape",
-                 "_facts")
+                 "_piece_free", "_facts")
 
     def __init__(self, kind, nats, children, depth, shape):
         self.kind = kind
@@ -121,6 +124,7 @@ class LazySet:
         self._bits = None
         # (P, T), or False if P + T passes _SHAPE_LIMIT
         self._shape = shape
+        self._piece_free = kind != "piece" and all(c._piece_free for c in children)
         # (rule name, other node or None) -> whether the rules prove it
         self._facts = {}
 
@@ -407,18 +411,20 @@ def _subset_rules(a, b):
         return True
     if a.kind == b.kind == "rows" and a.nats <= b.nats:
         return True                         # rows(m) ⊆ rows(n) for m ≤ n
-    spine = _union_tree(b)
-    if a in spine:                          # x ⊆ union(x, y)
+    if b.kind == "union" and a in b.children:
+        return True                         # x ⊆ union(x, y)
+    within = _summands(b)                   # b is their union
+    if a.kind == "union":                   # each summand, exactly
+        for c in _summands(a):
+            if c not in within and not (yield "subset", c, b):
+                return False
         return True
-    for c in spine:                         # x ⊆ inter(y, z) if x ⊆ y and x ⊆ z
+    if a in within:
+        return True
+    for c in within:                        # x ⊆ inter(y, z) if x ⊆ y and x ⊆ z
         if c.kind == "inter" and (yield "subset", a, c.children[0]) \
                 and (yield "subset", a, c.children[1]):
             return True
-    if a.kind == "union":                   # each summand, exactly
-        for c in _summands(a):
-            if c not in spine and not (yield "subset", c, b):
-                return False
-        return True
     for c in _containers(a):                # x ⊆ c ⊆ b
         if (yield "subset", c, b):
             return True
@@ -430,8 +436,9 @@ def _disjoint_rules(a, b):
     if a.kind == "empty" or b.kind == "empty":
         return True
     if a.kind == "union" or b.kind == "union":  # each pair of summands, exactly
+        ys = _summands(b)
         for x in _summands(a):
-            for y in _summands(b):
+            for y in ys:
                 if not _distinct_pieces(x, y) \
                         and not (yield "disjoint", x, y):
                     return False
@@ -467,11 +474,11 @@ def _infinite_rules(s, _):
         if a.kind == b.kind == "rows" and a.nats > b.nats:
             return True     # diff(rows(n), rows(m)) holds pair(m, j) for every j
         last = {}
-        for n in _union_tree(b):
+        for n in _summands(b):
             if n.kind == "piece":
                 p = n.children[0]
                 last[p] = max(last.get(p, -1), n.nats[0])
-        for w in _summands(a) + [piece(p, i + 1) for p, i in last.items()]:
+        for w in [*_summands(a), *(piece(p, i + 1) for p, i in last.items())]:
             if (yield "infinite", w, None) and (yield "subset", w, a) \
                     and (yield "disjoint", w, b):
                 return True
@@ -483,18 +490,6 @@ _RULES = {"subset": _subset_rules, "disjoint": _disjoint_rules,
           "infinite": _infinite_rules}
 
 
-def _union_tree(s: LazySet) -> set:
-    """s and every node reached from it through union children alone."""
-    seen, stack = {s}, [s]
-    while stack:
-        node = stack.pop()
-        if node.kind == "union":
-            fresh = [c for c in node.children if c not in seen]
-            seen.update(fresh)
-            stack += fresh
-    return seen
-
-
 def _containers(x: LazySet) -> tuple:
     """Operands that hold all of x: piece(s,i) ⊆ s, diff(s, t) ⊆ s, and
     inter(s, t) ⊆ s and ⊆ t."""
@@ -503,9 +498,18 @@ def _containers(x: LazySet) -> tuple:
     return x.children[:1] if x.kind in ("piece", "diff") else ()
 
 
-def _summands(s: LazySet) -> list:
-    """The nodes of s's union tree that are not unions: s is their union."""
-    return [c for c in _union_tree(s) if c.kind != "union"]
+def _summands(s: LazySet) -> set:
+    """The nodes reached from s through union children alone that are not
+    unions: s is their union."""
+    out, seen, stack = set(), set(), [s]
+    while stack:
+        node = stack.pop()
+        if node.kind != "union":
+            out.add(node)
+        elif node not in seen:
+            seen.add(node)
+            stack += node.children
+    return out
 
 
 def _distinct_pieces(x: LazySet, y: LazySet) -> bool:
@@ -518,22 +522,13 @@ def _distinct_pieces(x: LazySet, y: LazySet) -> bool:
 def _fold(*nodes):
     """(P, then each node's membership over [0, P + T)) for a preperiod P
     and a period T common to `nodes`, or None unless every node is
-    piece-free and P + T is at most _FOLD_LIMIT.  Pieces are refused for
-    cost: a piece's fold needs its parent scanned to the piece's P + T, a
-    period 2^(i+1) times its parent's, and the proofs fall back on a fold
-    at every rule that fails."""
-    for node in nodes:
-        seen, stack = {node}, [node]
-        while stack:
-            n = stack.pop()
-            if n.kind == "piece":
-                return None
-            fresh = [c for c in n.children if c not in seen]
-            seen.update(fresh)
-            stack += fresh
-    shapes = [node._shape for node in nodes]
-    if not all(shapes):
+    piece-free, a fact fixed when it was built, and P + T is at most
+    _FOLD_LIMIT.  Pieces are refused for cost: a piece's fold needs its
+    parent scanned to the piece's P + T, a period 2^(i+1) times its
+    parent's, and the proofs fall back on a fold at every rule that fails."""
+    if not all(node._piece_free and node._shape for node in nodes):
         return None
+    shapes = [node._shape for node in nodes]
     p = max(shape[0] for shape in shapes)
     n = p + math.lcm(*(shape[1] for shape in shapes))
     if n > _FOLD_LIMIT:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,20 +102,21 @@ class MetricSpace:
     def precedes(self, d: int, e: int) -> bool:
         return self.pos[d] < self.pos[e]
 
-    def validate(self) -> List[str]:
-        """Exhaustive metric-axiom check; returns violation descriptions,
-        the triangle ones in (i, j, k) order."""
+    def validate(self) -> Iterator[str]:
+        """Exhaustive metric-axiom check, yielding violation descriptions as
+        it finds them: the sign ones, then the triangle ones in (i, j, k)
+        order, one i at a time, so a caller that stops at the first pays
+        for no others."""
         m = self._m
         values = m[self._rows, self._cols]
-        bad = [f"{'nonnegativity' if values[k] < 0 else 'identity'} "
-               f"{self._rows[k]} {self._cols[k]}"
-               for k in np.flatnonzero(values <= 0)]
+        for k in np.flatnonzero(values <= 0):
+            yield (f"{'nonnegativity' if values[k] < 0 else 'identity'} "
+                   f"{self._rows[k]} {self._cols[k]}")
         for i in range(self.n):
             # entry [j, k]: d(i, j) > d(i, k) + d(k, j), as m is symmetric
             broken = m[i][:, None] > m[i][None, :] + m
             if broken.any():
-                bad.extend(f"triangle {i} {j} {k}" for j, k in np.argwhere(broken))
-        return bad
+                yield from (f"triangle {i} {j} {k}" for j, k in np.argwhere(broken))
 
     def _closer_than(self, k: int, n: int, cols=slice(None)) -> np.ndarray:
         """Boolean matrix of d(x, c) < k * 2^(-n), for every point x and
@@ -142,9 +143,9 @@ class ContChain:
     strict at d for every ordered pair."""
 
     def __init__(self, space: MetricSpace):
-        violations = space.validate()
-        if violations:
-            raise MetricAxiomError(violations[0])
+        violation = next(space.validate(), None)
+        if violation is not None:
+            raise MetricAxiomError(violation)
         self.space = space
         # the first level beyond which every net is all of D and the only
         # center within bump range of a point is the point itself

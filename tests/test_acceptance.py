@@ -5,15 +5,22 @@ Each test prints one summary line, `CRITERION <k> PASS ...` or
 Tolerances: rational arithmetic is exact (no epsilon anywhere);
 certificate checks use depth 32; brute-force scans go to N = 10^4.
 Runtime bounds: criterion 1 under 10 s, criterion 4 under 30 s per
-ordinal, criterion 9 under 5 s of process CPU.
+ordinal, criterion 9 under 5 s of process CPU, criterion 10 under 3.5 s of
+child-process CPU.
 """
 
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ordchain
 from ordchain import cli
 from ordchain.baire import FSigmaWitness, fsigma_witness, pair_failure
 from ordchain.certs import (ChainReport, OrdinalEmbedding, SplitChain,
@@ -27,6 +34,7 @@ from ordchain.ordinal import (LT, Ordinal, add, classify, compare,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
 from ordchain.sampling import sample_comparable_pairs
+from test_cli import MAIN
 from test_lazyset import member
 from test_metric import check_level
 from test_ordinal import random_notation
@@ -288,3 +296,26 @@ def test_criterion_9_large_space_check_all(announce, capsys, tmp_path):
     ok = status == 0 and tally == "CHECKED 114960 FAILED 0" and elapsed < 5
     announce(9, ok, f"480-point chain through cont --check-all: {tally}, "
                     f"exit {status}, {elapsed:.2f}s CPU")
+
+
+def test_criterion_10_long_split_chain(announce, tmp_path):
+    # 2,001 certificates along z_1 ⊂* z_2 ⊂* ..., each proved with one walk
+    # of z_k's union tree.  A new interpreter, as in `run_fresh`: facts kept
+    # on interned nodes by earlier tests would make the time depend on test
+    # order.  The run prints about 76 MB, to a file.
+    out = tmp_path / "split2000.out"
+    src = str(Path(ordchain.__file__).resolve().parents[1])
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    with open(out, "w") as stdout:
+        status = subprocess.run(
+            [sys.executable, "-c", MAIN, "split", "--count", "2000"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
+            stderr=subprocess.DEVNULL, timeout=120).returncode
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    elapsed = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    with open(out, "rb") as f:
+        f.seek(max(f.seek(0, os.SEEK_END) - 200, 0))
+        tally = f.read().decode().splitlines()[-1]
+    ok = status == 0 and tally == "CHECKED 2001 FAILED 0" and elapsed < 3.5
+    announce(10, ok, f"split --count 2000 in a new interpreter: {tally}, "
+                     f"exit {status}, {elapsed:.2f}s CPU")

@@ -338,15 +338,18 @@ def test_embed_finite_bound_scans_in_bounded_memory():
 
 
 # tree addresses k, k,1, k,2,1 and k,0,3 and splits of (rows(k), rows(k+1))
-# for k <= 70, past the fold range from 20 on, and pair runs with their
-# certificates
+# for k <= 70, past the fold range from 20 on, pair runs with their
+# certificates, a 300-step split chain, and z_3 ⊆ z_37 of a tree node,
+# proved summand by summand
 PROVED_RUNS = (
     [("tree", "--address", f"{k}{rest}")
      for k in range(71) for rest in ("", ",1", ",2,1", ",0,3")]
     + [("split", "--interval", f"rows({k}),rows({k + 1})") for k in range(71)]
     + [(command, "--ordinal", xi, *extra) for xi in ("w^(2)", "w^(w)", "w*3+2")
        for command, extra in (("embed", ("--interval", "rows(20),rows(21)")),
-                              ("baire", ()))])
+                              ("baire", ()))]
+    + [("split", "--count", "300", "--depth", "4"),
+       ("tree", "--address", "1", "--a", "3", "--b", "37")])
 
 
 def test_constructions_are_proved_with_the_probe_off(capsys, monkeypatch):
@@ -357,7 +360,7 @@ def test_constructions_are_proved_with_the_probe_off(capsys, monkeypatch):
         raise AssertionError(f"probed {s.expr}")
     monkeypatch.setattr(lazyset.LazySet, "bits", probe)
     monkeypatch.setattr(lazyset.LazySet, "first_n", probe)
-    assert len(PROVED_RUNS) == 361
+    assert len(PROVED_RUNS) == 363
     for argv in PROVED_RUNS:
         code, out, _ = run(capsys, *argv)
         assert (code, out.splitlines()[-1].split()[-2:]) == (0, ["FAILED", "0"]), argv

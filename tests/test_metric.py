@@ -3,6 +3,7 @@ evaluation, witnesses, and the space-file format."""
 
 import copy
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,18 +107,16 @@ class Reference:
         return F(0) if i == j else self.dists[(min(i, j), max(i, j))]
 
     def validate(self):
-        bad = []
         for (i, j), v in self.dists.items():
             if v < 0:
-                bad.append(f"nonnegativity {i} {j}")
+                yield f"nonnegativity {i} {j}"
             if v == 0:
-                bad.append(f"identity {i} {j}")
+                yield f"identity {i} {j}"
         for i in range(self.n):
             for j in range(self.n):
                 for k in range(self.n):
                     if self.dist(i, j) > self.dist(i, k) + self.dist(k, j):
-                        bad.append(f"triangle {i} {j} {k}")
-        return bad
+                        yield f"triangle {i} {j} {k}"
 
     def net(self, level):
         if level not in self.nets:
@@ -178,7 +177,7 @@ def space_inputs(rng, n, dims=1, dens=(1, 2, 4, 8)):
 # Metric space basics.
 
 def test_validate_accepts_good_space():
-    assert two_point_space().validate() == []
+    assert list(two_point_space().validate()) == []
 
 
 def test_validate_names_violated_axiom():
@@ -212,7 +211,7 @@ def test_unreduced_pairs_of_either_sign():
                      [0, 1, 2])
     assert ms.dist(1, 0) == F(1, 2) and ms.dist(2, 1) == F(-1, 2)
     assert ms.dist(0, 2) == F(5, 3)
-    assert ms.validate()[0] == "nonnegativity 1 2"
+    assert list(ms.validate())[0] == "nonnegativity 1 2"
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +469,7 @@ def test_kernel_matches_reference(dims, dens):
         if dens[0] > 2 ** 70:
             assert ms.scale * max(dists.values()) > 2 ** 70
         assert ms._m.dtype == (object if dens[0] > 2 ** 70 else np.int64)
-        assert ms.validate() == ref.validate() == []
+        assert list(ms.validate()) == list(ref.validate()) == []
         chain = ContChain(ms)
         top = chain.stable_level
         assert top == ref.stable_level()
@@ -508,9 +507,28 @@ def test_validate_matches_reference_on_broken_spaces(dims, dens):
     rng = random.Random(59 + dims)
     for _ in range(6):
         n, dists, order = broken_space_inputs(rng, dims, dens)
-        expected = Reference(n, dists, order).validate()
+        expected = list(Reference(n, dists, order).validate())
         assert expected
-        assert MetricSpace(n, as_pairs(dists), order).validate() == expected
+        assert list(MetricSpace(n, as_pairs(dists), order).validate()) == expected
+
+
+def test_first_fault_is_raised_without_listing_the_rest():
+    # random distances break the triangle rule 158,464 times on 100 points:
+    # ContChain raises the first fault and lists none of the others, so its
+    # memory does not grow with their number
+    rng = random.Random(67)
+    n = 100
+    dists = {(i, j): F(rng.randint(1, 100)) for i in range(n) for j in range(i + 1, n)}
+    space = MetricSpace(n, as_pairs(dists), range(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(MetricAxiomError) as err:
+            ContChain(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == next(Reference(n, dists, range(n)).validate())
+    assert peak < 2 << 20, peak
 
 
 def test_pair_failure_matches_reference():
@@ -584,8 +602,8 @@ def assert_dtypes_agree(n, pairs, order, dtype=np.int64, level0=None):
     assert [s._m.dtype for s in spaces] == [dtype, object]
     assert_exact_fractions(s.dist(i, j) for s in spaces
                            for i in range(n) for j in range(n))
-    expected = ref.validate()
-    assert [s.validate() for s in spaces] == [expected, expected]
+    expected = list(ref.validate())
+    assert [list(s.validate()) for s in spaces] == [expected, expected]
     if expected:
         return
     chains = [ContChain(s) for s in spaces]
@@ -766,8 +784,8 @@ def test_parsed_text_matches_reference():
             seen["symmetry"] += 1
             continue
         ms = parse_space(text)
-        bad = ref.validate()
-        assert ms.validate() == bad
+        bad = list(ref.validate())
+        assert list(ms.validate()) == bad
         seen.update(v.split()[0] for v in bad)
         if bad:
             continue
