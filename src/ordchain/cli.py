@@ -3,6 +3,11 @@
 Subcommands: embed, cont, baire, verify, split, tree.  Reports are plain
 text, one fact per line, so runs diff cleanly against snapshots.  Exit
 codes: 0 all checks ok, 1 any FAIL, 2 usage or parse error.
+
+One process keeps the embeddings and draw tables of the last KEPT_BOUNDS
+(ordinal, interval, depth cap) keys that `embed` and `baire` asked about,
+so a run of jobs on a few bounds derives each slot once; every output is
+the same as in a new process.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from .certs import (ChainReport, InvalidCertificateError, OrderCertificate,
 from .lazyset import SET, ResourceLimitError, SetParseError, parse_text
 from .metric import (ContChain, MetricAxiomError, SpaceParseError,
                      format_eval, load_space)
-from .ordinal import OrdinalParseError, format_ordinal, parse_ordinal
-from .sampling import NoPairsError, sample_comparable_pairs
+from .ordinal import Ordinal, OrdinalParseError, format_ordinal, parse_ordinal
+from .sampling import KEPT_BOUNDS, NoPairsError, sample_comparable_pairs
 
 USAGE_ERROR = 2
 
@@ -102,12 +107,25 @@ def _interval_cert(arg: Optional[str], bound: int) -> OrderCertificate:
     return cert
 
 
+@functools.lru_cache(maxsize=KEPT_BOUNDS)
+def _embedding(xi: Ordinal, interval: OrderCertificate,
+               cap: int) -> OrdinalEmbedding:
+    """The embedding of the notations below xi into the interval, kept with
+    what it has derived.  The depth cap is in the key: a kept embedding
+    hands out its chain's sets without the lookup that checks the cap."""
+    return OrdinalEmbedding(xi, interval)
+
+
 def _pair_checks(args, interval: Optional[str], bound: int, check) -> int:
     """Report `check(embedding, a, b, depth)` for each of `--pairs` seeded
     pairs a < b below `--ordinal`, embedded into the interval.  Each pair
-    is checked as it is drawn, so no run holds its pairs in memory."""
+    is checked as it is drawn, so no run holds its pairs in memory.  The
+    interval is checked on every run; the embedding is shared with the
+    last KEPT_BOUNDS runs on the same ordinal, interval and depth cap,
+    which prints what a new one would."""
     xi = parse_ordinal(args.ordinal)
-    embedding = OrdinalEmbedding(xi, _interval_cert(interval, bound))
+    embedding = _embedding(xi, _interval_cert(interval, bound),
+                           lazyset._DEPTH_CAP)
     pairs = sample_comparable_pairs(xi, args.pairs, random.Random(args.seed)) \
         if not xi.is_zero() else []
     return _report((f"PAIR {format_ordinal(a, compact=True)} "

@@ -28,6 +28,10 @@ MAX_EXPONENT = 4
 MAX_COEFF = 2
 MAX_TERMS = 2
 MAX_TRAILING_NAT = 3
+# How many bounds' draw tables a process keeps, and how many embeddings the
+# CLI keeps: the benchmark's embed deck asks about 4 bounds, and a session
+# of new bounds must not grow without end.
+KEPT_BOUNDS = 8
 
 
 class NoPairsError(ValueError):
@@ -40,7 +44,9 @@ def _table() -> Tuple[Tuple[Ordinal, ...], Tuple[int, ...]]:
     in proportion to its raw-draw probability, 1/MAX_TERMS times
     1/C(MAX_EXPONENT+1, n) for its n exponents times 1/|coefficient range|
     for each term.  Built on the first draw below an infinite bound and kept
-    (with its notations) for the life of the process."""
+    (with its notations) for the life of the process.  The entries below
+    each bound, with their cumulative weights, are `_below`'s table for that
+    bound, kept for the last KEPT_BOUNDS bounds."""
     entries = []
     for n in range(1, MAX_TERMS + 1):
         for exponents in itertools.combinations(range(MAX_EXPONENT, -1, -1), n):
@@ -52,6 +58,15 @@ def _table() -> Tuple[Tuple[Ordinal, ...], Tuple[int, ...]]:
     scale = math.lcm(*(odds for _, odds in entries))
     return (tuple(a for a, _ in entries),
             tuple(scale // odds for _, odds in entries))
+
+
+@functools.lru_cache(maxsize=KEPT_BOUNDS)
+def _below(bound: Ordinal) -> Tuple[Tuple[Ordinal, ...], Tuple[int, ...]]:
+    """The table's notations below an infinite `bound` and the running sums
+    of their weights."""
+    below = [(a, w) for a, w in zip(*_table()) if compare(a, bound) == LT]
+    return (tuple(a for a, _ in below),
+            tuple(itertools.accumulate(w for _, w in below)))
 
 
 def _finite(a: Ordinal) -> Optional[int]:
@@ -68,9 +83,7 @@ def _draws(bound: Ordinal, rng: random.Random) -> Iterator[Ordinal]:
     n = _finite(bound)
     while n is not None:
         yield Ordinal.from_int(rng.randrange(n))
-    below = [(a, w) for a, w in zip(*_table()) if compare(a, bound) == LT]
-    items = [a for a, _ in below]
-    cum = list(itertools.accumulate(w for _, w in below))
+    items, cum = _below(bound)
     total = cum[-1]         # 1, 2 and 3 lie below every infinite bound
     while True:
         yield items[bisect_right(cum, rng.randrange(total))]

@@ -6,7 +6,7 @@ Tolerances: rational arithmetic is exact (no epsilon anywhere);
 certificate checks use depth 32; brute-force scans go to N = 10^4.
 Runtime bounds: criterion 1 under 10 s, criterion 4 under 30 s per
 ordinal, criterion 9 under 5 s of process CPU, criterion 10 under 3.5 s of
-child-process CPU.
+child-process CPU.  Memory bound: criterion 11 under 65 MiB peak RSS.
 """
 
 import os
@@ -34,7 +34,7 @@ from ordchain.ordinal import (LT, Ordinal, add, classify, compare,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
 from ordchain.sampling import sample_comparable_pairs
-from test_cli import MAIN
+from test_cli import MAIN, PEAK_KIB, run_fresh
 from test_lazyset import member
 from test_metric import check_level
 from test_ordinal import random_notation
@@ -319,3 +319,23 @@ def test_criterion_10_long_split_chain(announce, tmp_path):
     ok = status == 0 and tally == "CHECKED 2001 FAILED 0" and elapsed < 3.5
     announce(10, ok, f"split --count 2000 in a new interpreter: {tally}, "
                      f"exit {status}, {elapsed:.2f}s CPU")
+
+
+# 100 embed jobs in one interpreter, each on a bound no other job asks about;
+# stderr gets the worst exit code, then the peak RSS in KiB
+NEW_BOUNDS_SESSION = (
+    "import sys; from ordchain.cli import main; "
+    "rc = max(main(['embed', '--ordinal', f'w^(w*{k})+{k}', '--pairs', '12', "
+    "'--depth', '16', '--seed', str(k)]) for k in range(1, 101)); "
+    f"print(rc, {PEAK_KIB}, file=sys.stderr)")
+
+
+def test_criterion_11_new_bounds_session_memory(announce):
+    # the embeddings and draw tables a process keeps for recent bounds must
+    # not grow with the number of bounds asked about.  A new interpreter, so
+    # sets interned by earlier tests do not count
+    proc = run_fresh(code=NEW_BOUNDS_SESSION, timeout=120)
+    rc, kib = map(int, proc.stderr.split()[-2:])
+    ok = proc.returncode == 0 and rc == 0 and kib < 65 * 1024
+    announce(11, ok, f"100 embed jobs on new bounds in one interpreter: "
+                     f"worst exit {rc}, peak RSS {kib / 1024:.1f} MiB")

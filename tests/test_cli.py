@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ordchain
-from ordchain import certs, lazyset
+from ordchain import certs, cli, lazyset, sampling
 from ordchain.cli import USAGE_ERROR, main
 from ordchain.metric import format_eval
 from ordchain.ordinal import MAX_NESTING
@@ -787,6 +788,60 @@ def test_depth_cap_resets_once_env_is_unset(capsys, monkeypatch):
     monkeypatch.delenv("TC_DEPTH_CAP")
     code, out, _ = run(capsys, *argv)
     assert (code, out.splitlines()[-1]) == (0, "CHECKED 40 FAILED 0")
+
+
+# embed and baire runs over the default interval, given intervals with and
+# without --bound, an interval that fails, an empty bound, a bound whose sets
+# pass a cap of 20, and one whose sets pass the default cap
+HISTORY_ARGVS = [
+    ("embed", "--ordinal", "w^(2)+1", "--pairs", "4", "--depth", "8",
+     "--seed", "3"),
+    ("baire", "--ordinal", "w*2", "--pairs", "3"),
+    ("embed", "--ordinal", "w", "--interval", "ap(4,0),ap(2,0)",
+     "--pairs", "3", "--depth", "8"),
+    ("embed", "--ordinal", "w*3", "--interval",
+     "union(ap(4,0),diff(ap(1,0),ap(1,5))),ap(2,0)", "--bound", "5",
+     "--pairs", "5", "--depth", "8"),
+    ("embed", "--ordinal", "w", "--interval", "ap(2,0),ap(4,0)"),
+    ("embed", "--ordinal", "0"),
+    ("baire", "--ordinal", "0"),
+    ("embed", "--ordinal", "w^(w)", "--pairs", "40", "--depth", "4"),
+    ("baire", "--ordinal", "w^(w)", "--pairs", "40", "--depth", "4"),
+    ("baire", "--ordinal", "w^(w*1000000)", "--pairs", "2"),
+]
+
+
+def test_outputs_do_not_depend_on_earlier_runs(capsys, monkeypatch):
+    # a process keeps the embeddings and draw tables of recent runs; each
+    # run, under TC_DEPTH_CAP=20 or unset, prints what it prints with
+    # nothing kept, whatever ran before it
+    def run_under(argv, cap):
+        if cap is None:
+            monkeypatch.delenv("TC_DEPTH_CAP", raising=False)
+        else:
+            monkeypatch.setenv("TC_DEPTH_CAP", cap)
+        return run(capsys, *argv)[:2]
+
+    runs = [(argv, cap) for argv in HISTORY_ARGVS for cap in ("20", None)]
+    reference = {}
+    for argv, cap in runs:
+        cli._embedding.cache_clear()
+        sampling._below.cache_clear()
+        reference[argv, cap] = run_under(argv, cap)
+    rng = random.Random(31)
+    for _ in range(2):
+        rng.shuffle(runs)
+        for argv, cap in runs:
+            assert run_under(argv, cap) == reference[argv, cap], (argv, cap)
+
+
+def test_kept_embeddings_and_draw_tables_are_bounded(capsys):
+    for k in range(1, sampling.KEPT_BOUNDS + 4):
+        code, _, _ = run(capsys, "embed", "--ordinal", f"w^(w*{k})+{k}",
+                         "--pairs", "2", "--depth", "4")
+        assert code == 0
+    assert cli._embedding.cache_info().currsize == sampling.KEPT_BOUNDS
+    assert sampling._below.cache_info().currsize == sampling.KEPT_BOUNDS
 
 
 HUGE = "7" * 5000       # past Python's default int-conversion limit
