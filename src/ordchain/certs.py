@@ -293,8 +293,9 @@ class OrdinalEmbedding:
     and offset, for the embedding's life.  Levels are walked in loops, so
     a deep bound costs no stack.  Slot indices grow with the coefficients
     along a notation's term list; the certificates of large slots are
-    proved from their structure and not probed.  The interval's
-    certificate is trusted, as by `SplitChain`.
+    proved from their structure and not probed.  A certificate folds the
+    chain steps between its ends, only the first of which can carry the
+    interval's bound (see `cert`).  The interval's certificate is trusted.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate):
@@ -345,7 +346,15 @@ class OrdinalEmbedding:
     def cert(self, alpha: Optional[Ordinal],
              beta: Optional[Ordinal]) -> OrderCertificate:
         """Certificate for e(alpha) strictly below e(beta), alpha < beta;
-        alpha=None is the interval's lower end and beta=None its upper end."""
+        alpha=None is the interval's lower end and beta=None its upper end.
+
+        One fold of `compose_certs` over the chain steps up out of alpha's
+        slot, along the chain where the ends part and down into beta's
+        slot.  Only a step out of a chain's lower end keeps a bound, a chain
+        in slot t >= 1 has bound 0, and an up step or the along step between
+        notations starts at t + 1 >= 1: at most the first step carries the
+        interval's bound, so no grouping of the fold changes the result.
+        """
         if alpha is not None and beta is not None and compare(alpha, beta) != -1:
             raise ValueError("need alpha < beta")
         emb = self
@@ -355,29 +364,16 @@ class OrdinalEmbedding:
             if ta != tb:
                 break
             emb, alpha, beta = suba, offa, offb
-        # out of alpha's slot up to z_{ta+1}, along the chain, into beta's
-        # slot (a single-point slot t is z_{t+1} itself)
-        legs = [] if suba is None else [suba._above(offa)]
+        # up steps innermost first; a single-point slot t is z_{t+1} itself
+        steps = [] if suba is None else [
+            e._chain.cert(t + 1, None) for e, t, _ in suba._levels(offa)][::-1]
         top = tb if subb is not None else (None if beta is None else tb + 1)
         if ta + 1 != top:
-            legs.append(emb._chain.cert(ta + 1, top))
-        if subb is not None:
-            legs.append(subb._below(offb))
-        return functools.reduce(compose_certs, legs)
-
-    def _above(self, alpha: Ordinal) -> OrderCertificate:
-        """cert(alpha, None): out of each level's slot to its upper end,
-        composed from the innermost level out."""
-        return functools.reduce(compose_certs, reversed(
-            [emb._chain.cert(t + 1, None) for emb, t, _ in self._levels(alpha)]))
-
-    def _below(self, beta: Ordinal) -> OrderCertificate:
-        """cert(None, beta): from each level's lower end into its slot (to
-        z_{t+1} for a single point t), composed from the innermost level out."""
-        legs = [emb._chain.cert(0, t + (sub is None))
-                for emb, t, sub in self._levels(beta) if t or sub is None]
-        return functools.reduce(lambda inner, leg: compose_certs(leg, inner),
-                                reversed(legs))
+            steps.append(emb._chain.cert(ta + 1, top))
+        if subb is not None:    # a slot 0 starts at its level's lower end
+            steps += [e._chain.cert(0, t + (sub is None))
+                      for e, t, sub in subb._levels(offb) if t or sub is None]
+        return functools.reduce(compose_certs, steps)
 
 
 def default_interval() -> OrderCertificate:

@@ -150,7 +150,9 @@ def cmd_cont(args) -> int:
     if args.eval is not None:
         d, x = args.eval
         if not (d < space.n and x < space.n):
-            raise SpaceParseError("eval indices out of range")
+            print(f"cont: --eval D,X must name points below {space.n}",
+                  file=sys.stderr)
+            return USAGE_ERROR
         value, tail = chain.eval(d, x, truncate=args.truncate)
         try:
             line = format_eval(d, x, value, tail)

@@ -813,6 +813,10 @@ def test_cert_queries_match_reference(interval):
             assert same_certificate(emb.cert(None, a), ref.below(a))
             assert same_certificate(emb.cert(b, None), ref.above(b))
             assert emb.member(a) is ref.below(a).upper
+            # only a derivation out of the interval's lower end keeps its
+            # bound: the rule that lets cert fold its steps in any grouping
+            assert emb.cert(a, b).bound == 0 and emb.cert(b, None).bound == 0
+            assert emb.cert(None, a).bound == interval.bound
 
 
 def test_default_interval():

@@ -584,9 +584,15 @@ def test_unreadable_input_file_is_usage_error(capsys, tmp_path, argv):
 
 
 def test_cont_eval_out_of_range(capsys, tmp_path):
-    space = write(tmp_path, "two.space", TWO_POINT)
-    code, _, err = run(capsys, "cont", "--space", space, "--eval", "5,0")
-    assert code == 2
+    # the space parsed, so a point past its last is a usage error, not a
+    # parse error; a space that breaks an axiom still FAILs first
+    two = write(tmp_path, "two.space", TWO_POINT)
+    bad = write(tmp_path, "bad.space", ASYMMETRIC)
+    for point in ["5,0", "0,2", "7,9"]:
+        assert run(capsys, "cont", "--space", two, "--eval", point) == (
+            USAGE_ERROR, "", "cont: --eval D,X must name points below 2\n")
+        assert run(capsys, "cont", "--space", bad, "--eval", point) == (
+            1, "FAIL symmetry 0 1\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +798,10 @@ def test_depth_cap_resets_once_env_is_unset(capsys, monkeypatch):
 
 # embed and baire runs over the default interval, given intervals with and
 # without --bound, an interval that fails, an empty bound, a bound whose sets
-# pass a cap of 20, and one whose sets pass the default cap
+# pass a cap of 20, and one whose sets pass the default cap; then split, tree
+# and verify runs that share interned sets, and the facts proved on them,
+# with those: README's bounded interval, the node at 1,2, and a passing and
+# a failing certificate on the sets of the interval ap(4,0),ap(2,0)
 HISTORY_ARGVS = [
     ("embed", "--ordinal", "w^(2)+1", "--pairs", "4", "--depth", "8",
      "--seed", "3"),
@@ -808,18 +817,31 @@ HISTORY_ARGVS = [
     ("embed", "--ordinal", "w^(w)", "--pairs", "40", "--depth", "4"),
     ("baire", "--ordinal", "w^(w)", "--pairs", "40", "--depth", "4"),
     ("baire", "--ordinal", "w^(w*1000000)", "--pairs", "2"),
+    ("split", "--interval", "union(ap(4,0),diff(ap(1,0),ap(1,5))),ap(2,0)",
+     "--bound", "5", "--count", "3"),
+    ("tree", "--address", "1,2", "--a", "1", "--b", "3"),
+    ("verify", "--cert", "good.cert"),
+    ("verify", "--cert", "bad.cert"),
 ]
 
 
-def test_outputs_do_not_depend_on_earlier_runs(capsys, monkeypatch):
-    # a process keeps the embeddings and draw tables of recent runs; each
-    # run, under TC_DEPTH_CAP=20 or unset, prints what it prints with
-    # nothing kept, whatever ran before it
-    def run_under(argv, cap):
+def test_outputs_do_not_depend_on_earlier_runs(capsys, monkeypatch, tmp_path):
+    # a process keeps the embeddings and draw tables of recent runs, and
+    # its interned sets with what was proved about them; each run, under
+    # TC_DEPTH_CAP=20 or unset, prints what it prints with nothing kept,
+    # whatever ran before it, and what it prints in a new interpreter
+    for name in ("good.cert", "bad.cert"):
+        write(tmp_path, name, GOLDEN_FILES[name])
+    monkeypatch.chdir(tmp_path)
+
+    def set_cap(cap):
         if cap is None:
             monkeypatch.delenv("TC_DEPTH_CAP", raising=False)
         else:
             monkeypatch.setenv("TC_DEPTH_CAP", cap)
+
+    def run_under(argv, cap):
+        set_cap(cap)
         return run(capsys, *argv)[:2]
 
     runs = [(argv, cap) for argv in HISTORY_ARGVS for cap in ("20", None)]
@@ -828,6 +850,12 @@ def test_outputs_do_not_depend_on_earlier_runs(capsys, monkeypatch):
         cli._embedding.cache_clear()
         sampling._below.cache_clear()
         reference[argv, cap] = run_under(argv, cap)
+    # the bounded embed, the split and the failing verify in a new interpreter
+    for argv, cap in [(HISTORY_ARGVS[3], None), (HISTORY_ARGVS[10], "20"),
+                      (HISTORY_ARGVS[-1], None)]:
+        set_cap(cap)
+        fresh = run_fresh(*argv)
+        assert (fresh.returncode, fresh.stdout) == reference[argv, cap], (argv, cap)
     rng = random.Random(31)
     for _ in range(2):
         rng.shuffle(runs)
