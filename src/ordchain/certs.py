@@ -196,6 +196,8 @@ class SplitChain:
         self._z: List[LazySet] = [inter(self.x, self.y)]
 
     def z(self, k: int) -> LazySet:
+        if k < 0:
+            raise ValueError("need k >= 0")
         while len(self._z) <= k:
             j = len(self._z) - 1
             self._z.append(union(self._z[j], piece(self.source, j)))
@@ -289,13 +291,17 @@ class OrdinalEmbedding:
 
     A notation's slot is read off its terms, so a large coefficient costs
     nothing up front, and a slot's start and sub-embedding are built once a
-    query lands in the slot, and kept, as is each located notation's slot
-    and offset, for the embedding's life.  Levels are walked in loops, so
-    a deep bound costs no stack.  Slot indices grow with the coefficients
-    along a notation's term list; the certificates of large slots are
-    proved from their structure and not probed.  A certificate folds the
-    chain steps between its ends, only the first of which can carry the
-    interval's bound (see `cert`).  The interval's certificate is trusted.
+    query lands in the slot, and kept for the embedding's life.  Each
+    notation asked is located once, as one path of levels down to its
+    single-point slot, kept at the embedding asked; `member` and `cert`
+    read it.  A path holds each level's chain, never its own embedding, so
+    a dropped embedding is freed without the cyclic collector.  Levels are
+    walked in loops, so a deep bound costs no stack.  Slot indices grow
+    with the coefficients along a notation's term list; the certificates of
+    large slots are proved from their structure and not probed.  A
+    certificate folds the chain steps between its ends, only the first of
+    which can carry the interval's bound (see `cert`).  The interval's
+    certificate is trusted.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate):
@@ -303,7 +309,7 @@ class OrdinalEmbedding:
         self._chain = SplitChain(interval)
         # (start, sub-embedding or None for a single point) per slot reached
         self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
-        self._located: Dict[Ordinal, tuple] = {}   # _locate's answers
+        self._paths: Dict[Ordinal, tuple] = {}     # _path's answers
         if _is_pure_power(bound):
             self._slot_end = fundamental_sequence(bound)
             self._slot_index = functools.partial(fundamental_index, bound)
@@ -311,37 +317,31 @@ class OrdinalEmbedding:
             self._slot_end = functools.partial(_block_end, bound)
             self._slot_index = functools.partial(_block_index, bound)
 
-    def _locate(self, alpha: Ordinal
-                ) -> Tuple[int, Ordinal, Optional["OrdinalEmbedding"]]:
-        """Slot index, offset within the slot, and the slot's sub-embedding
-        (None for a single-point slot) of alpha < bound."""
-        found = self._located.get(alpha)
-        if found is not None:
-            return found
+    def _path(self, alpha: Ordinal) -> tuple:
+        """(chain, slot, sub-embedding or None) of each level alpha < bound
+        is located in, from this one down to its single-point slot."""
+        path = self._paths.get(alpha)
+        if path is not None:
+            return path
         if compare(alpha, self.bound) != -1:
             raise UnknownIndexError(f"notation {alpha} is not below {self.bound}")
-        t = self._slot_index(alpha)
-        if t not in self._slots:
-            start = self._slot_end(t - 1) if t else Ordinal()
-            otype = left_subtract(start, self._slot_end(t))
-            self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
-                otype, self._chain.cert(t, t + 1)))
-        start, sub = self._slots[t]
-        found = self._located[alpha] = (t, left_subtract(start, alpha), sub)
-        return found
-
-    def _levels(self, alpha: Ordinal):
-        """(embedding, slot, sub-embedding) of each level alpha is located
-        in, from this one down to its single-point slot."""
-        emb = self
+        levels, emb, offset = [], self, alpha
         while emb is not None:
-            t, alpha, sub = emb._locate(alpha)
-            yield emb, t, sub
-            emb = sub
+            t = emb._slot_index(offset)
+            if t not in emb._slots:
+                start = emb._slot_end(t - 1) if t else Ordinal()
+                otype = left_subtract(start, emb._slot_end(t))
+                emb._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
+                    otype, emb._chain.cert(t, t + 1)))
+            start, sub = emb._slots[t]
+            levels.append((emb._chain, t, sub))
+            emb, offset = sub, left_subtract(start, offset)
+        path = self._paths[alpha] = tuple(levels)
+        return path
 
     def member(self, alpha: Ordinal) -> LazySet:
-        *_, (emb, t, _) = self._levels(alpha)
-        return emb._chain.z(t + 1)
+        chain, t, _ = self._path(alpha)[-1]
+        return chain.z(t + 1)
 
     def cert(self, alpha: Optional[Ordinal],
              beta: Optional[Ordinal]) -> OrderCertificate:
@@ -349,7 +349,7 @@ class OrdinalEmbedding:
         alpha=None is the interval's lower end and beta=None its upper end.
 
         One fold of `compose_certs` over the chain steps up out of alpha's
-        slot, along the chain where the ends part and down into beta's
+        slot, along the chain where the two paths part and down into beta's
         slot.  Only a step out of a chain's lower end keeps a bound, a chain
         in slot t >= 1 has bound 0, and an up step or the along step between
         notations starts at t + 1 >= 1: at most the first step carries the
@@ -357,22 +357,21 @@ class OrdinalEmbedding:
         """
         if alpha is not None and beta is not None and compare(alpha, beta) != -1:
             raise ValueError("need alpha < beta")
-        emb = self
-        while True:     # down while both ends share a slot
-            tb, offb, subb = (None, None, None) if beta is None else emb._locate(beta)
-            ta, offa, suba = (-1, None, None) if alpha is None else emb._locate(alpha)
-            if ta != tb:
-                break
-            emb, alpha, beta = suba, offa, offb
+        # an interval end is one level, in a slot no notation has
+        pb = ((self._chain, None, None),) if beta is None else self._path(beta)
+        pa = ((self._chain, -1, None),) if alpha is None else self._path(alpha)
+        i = 0
+        while pa[i][1] == pb[i][1]:     # the ends share this level's slot
+            i += 1
+        (chain, ta, _), (_, tb, subb) = pa[i], pb[i]
         # up steps innermost first; a single-point slot t is z_{t+1} itself
-        steps = [] if suba is None else [
-            e._chain.cert(t + 1, None) for e, t, _ in suba._levels(offa)][::-1]
-        top = tb if subb is not None else (None if beta is None else tb + 1)
+        steps = [c.cert(t + 1, None) for c, t, _ in pa[:i:-1]]
+        top = None if tb is None else tb + (subb is None)
         if ta + 1 != top:
-            steps.append(emb._chain.cert(ta + 1, top))
-        if subb is not None:    # a slot 0 starts at its level's lower end
-            steps += [e._chain.cert(0, t + (sub is None))
-                      for e, t, sub in subb._levels(offb) if t or sub is None]
+            steps.append(chain.cert(ta + 1, top))
+        # a slot 0 starts at its level's lower end
+        steps += [c.cert(0, t + (sub is None)) for c, t, sub in pb[i + 1:]
+                  if t or sub is None]
         return functools.reduce(compose_certs, steps)
 
 

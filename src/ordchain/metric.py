@@ -96,7 +96,15 @@ class MetricSpace:
         self._m = np.zeros((self.n, self.n), dtype=dtype)     # zero diagonal
         self._m[self._rows, self._cols] = self._m[self._cols, self._rows] = values
 
+    def _check_points(self, i: int, j: int) -> None:
+        """Refuse an index that names no point of the space, which a list or
+        numpy index would wrap (a negative one) or refuse without naming."""
+        if not 0 <= i < self.n > j >= 0:        # both in [0, n)
+            bad = j if 0 <= i < self.n else i
+            raise ValueError(f"point {bad} is not below {self.n}")
+
     def dist(self, i: int, j: int) -> Fraction:
+        self._check_points(i, j)
         return Fraction(int(self._m[i, j]), self.scale)
 
     def precedes(self, d: int, e: int) -> bool:
@@ -197,6 +205,7 @@ class ContChain:
         contributes 2^(-n) if x precedes d, else 0."""
         if truncate is not None and truncate < 0:
             raise ValueError("truncation level must be a natural")
+        self.space._check_points(d, x)
         top, scale = self.stable_level, self.space.scale
         before = self.space.precedes(x, d)
         d_pos = self.space.pos[d]
@@ -222,6 +231,7 @@ class ContChain:
 
     def pair_failure(self, d: int, e: int) -> Optional[str]:
         """Why f_d <= f_e, strict at d, fails, or None."""
+        self.space._check_points(d, e)
         if self._above[d, e]:
             return "monotonicity"
         if not self._table[d, d] < self._table[e, d]:

@@ -3,8 +3,10 @@ the address tree, and ordinal embeddings."""
 
 import copy
 import functools
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -424,6 +426,12 @@ def test_split_chain_index_contracts():
     for a, b in [(-1, 2), (2, 2), (3, 1), (-1, None)]:
         with pytest.raises(ValueError):
             chain.cert(a, b)
+    # a list index would wrap a negative level round to the last set built
+    z3 = chain.z(3)
+    for k in (-1, -4):
+        with pytest.raises(ValueError):
+            chain.z(k)
+    assert chain.z(3) is z3
     assert_valid(chain.cert(0))
     # x below y, straight from the interval: its bound and piece 0
     interval = default_certificate(ap(6, 1), ap(3, 1), 3)
@@ -598,9 +606,14 @@ def test_embed_requires_order():
     with pytest.raises(UnknownIndexError) as exc:
         emb.cert(Ordinal.from_int(1), parse_ordinal("w+1"))
     assert str(exc.value) == "notation w + 1 is not below w"
+    # the upper end is located first, so it is the one named
+    with pytest.raises(UnknownIndexError) as exc:
+        emb.cert(parse_ordinal("w+1"), parse_ordinal("w+2"))
+    assert str(exc.value) == "notation w + 2 is not below w"
     # a refused notation is not kept: it is refused again, and the
     # notations below the bound still answer
-    assert parse_ordinal("w") not in emb._located
+    for text in ["w", "w+1", "w+2"]:
+        assert parse_ordinal(text) not in emb._paths
     with pytest.raises(UnknownIndexError):
         emb.member(parse_ordinal("w"))
     assert emb.member(Ordinal.from_int(3)) is emb._chain.z(4)
@@ -656,12 +669,17 @@ def test_block_slots_match_reference():
     rng = random.Random(53)
     checked = 0
     while checked < 300:
-        bound = random_bound(rng, rng.randint(0, 2))
+        nesting = rng.randint(0, 2)
+        bound = random_bound(rng, nesting)
         if len(bound.terms) == 1 and bound.terms[0][1] == 1 \
                 and not bound.terms[0][0].is_zero():
             continue                        # a limit power: segments
         ends, slots = reference_blocks(bound)
-        emb = OrdinalEmbedding(bound, default_interval())
+        # a path runs down to its notation's single-point slot, thousands of
+        # levels below some blocks w^e of infinite e (the paths took 0.6 s
+        # below the 123 bounds of finite exponents here, 177 s below all
+        # 300): the embedding is asked below those, the block rules below all
+        emb = OrdinalEmbedding(bound, default_interval()) if not nesting else None
         order = list(range(len(ends)))
         if checked % 2:
             order.reverse()                 # ask for the last block first
@@ -672,10 +690,16 @@ def test_block_slots_match_reference():
             for d in (Ordinal(), sample_below(unit, rng)):
                 alpha = add(start, d)
                 assert _block_index(bound, alpha) == t
-                assert emb._locate(alpha)[:2] == (t, d)
-            assert emb._slots[t][0] == start
-            assert (emb._slots[t][1] is None) == is_unit
-        assert len(emb._slots) == len(ends)
+                if emb is None:
+                    continue
+                (chain, slot, sub), *below = emb._path(alpha)
+                assert (chain, slot, sub) == (emb._chain, t, emb._slots[t][1])
+                # below the block, alpha's path is its offset d's in the block
+                assert tuple(below) == (() if sub is None else sub._path(d))
+            if emb is not None:
+                assert emb._slots[t][0] == start
+                assert (emb._slots[t][1] is None) == is_unit
+        assert emb is None or len(emb._slots) == len(ends)
         checked += 1
 
 
@@ -706,6 +730,26 @@ def test_embed_memoizes_members():
     emb = OrdinalEmbedding(parse_ordinal("w^(2)"), default_interval())
     a = parse_ordinal("w+1")
     assert emb.member(a) is emb.member(a)
+
+
+def test_dropped_embedding_is_freed_without_the_cyclic_collector():
+    # a kept path holds chains and sub-embeddings, never the embedding it
+    # is kept at, so dropping the last reference frees the embedding
+    xi = parse_ordinal("w^(2)+w*3+5")
+    emb = OrdinalEmbedding(xi, default_interval())
+    for a, b in sample_comparable_pairs(xi, 20, random.Random(43)):
+        emb.cert(a, b)
+        emb.member(a)
+        emb.cert(None, a)
+        emb.cert(b, None)
+    emb.cert(None, None)
+    ref = weakref.ref(emb)
+    gc.disable()
+    try:
+        del emb
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_embed_into_nontrivial_interval():

@@ -206,6 +206,20 @@ def test_dist_and_precedes():
     assert ms.precedes(2, 0) and not ms.precedes(1, 0)
 
 
+def test_point_indices_are_checked():
+    # list and numpy indices wrap -1 round to point 2, and refuse 3 with
+    # no word of the space
+    ms = points_1d([F(0), F(3), F(5)], order=[2, 0, 1])
+    chain = ContChain(ms)
+    for query in [ms.dist, chain.eval, chain.pair_failure]:
+        for i, j, bad in [(-1, 0, -1), (0, -1, -1), (3, 0, 3), (0, 3, 3),
+                          (-1, 7, -1)]:
+            with pytest.raises(ValueError) as exc:
+                query(i, j)
+            assert str(exc.value) == f"point {bad} is not below 3"
+    assert chain.pair_failure(2, 0) is None and ms.dist(2, 0) == F(5)
+
+
 def test_unreduced_pairs_of_either_sign():
     ms = MetricSpace(3, {(0, 1): (-2, -4), (1, 2): (3, -6), (0, 2): (5, 3)},
                      [0, 1, 2])
