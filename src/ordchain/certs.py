@@ -290,25 +290,23 @@ class OrdinalEmbedding:
     * a single-point slot maps straight to the split point z_{t+1}.
 
     A notation's slot is read off its terms, so a large coefficient costs
-    nothing up front, and a slot's start and sub-embedding are built once a
-    query lands in the slot, and kept for the embedding's life.  Each
-    notation asked is located once, as one path of levels down to its
-    single-point slot, kept at the embedding asked; `member` and `cert`
-    read it.  A path holds each level's chain, never its own embedding, so
-    a dropped embedding is freed without the cyclic collector.  Levels are
-    walked in loops, so a deep bound costs no stack.  Slot indices grow
-    with the coefficients along a notation's term list; the certificates of
-    large slots are proved from their structure and not probed.  A
-    certificate folds the chain steps between its ends, only the first of
-    which can carry the interval's bound (see `cert`).  The interval's
-    certificate is trusted.
+    nothing up front; a slot's start and sub-embedding are built when a
+    query first lands in it, and kept.  Each notation asked is located
+    once, as one path of levels down to its single-point slot, kept at the
+    embedding asked; `member` and `cert` read it.  A path holds each
+    level's chain, never its own embedding, so a dropped embedding is freed
+    without the cyclic collector.  Levels are walked in loops, so a deep
+    bound costs no stack.  Slot indices grow with the coefficients along a
+    notation's term list; the certificates of large slots are proved from
+    their structure and not probed.  A certificate folds the chain steps
+    between its ends, only the first of which can carry the interval's
+    bound (see `cert`).  The interval's certificate is trusted.
     """
 
     def __init__(self, bound: Ordinal, interval: OrderCertificate):
         self.bound = bound
         self._chain = SplitChain(interval)
-        # (start, sub-embedding or None for a single point) per slot reached
-        self._slots: Dict[int, Tuple[Ordinal, Optional["OrdinalEmbedding"]]] = {}
+        self._slots: Dict[int, tuple] = {}         # _slot's answers
         self._paths: Dict[Ordinal, tuple] = {}     # _path's answers
         if _is_pure_power(bound):
             self._slot_end = fundamental_sequence(bound)
@@ -316,6 +314,15 @@ class OrdinalEmbedding:
         else:
             self._slot_end = functools.partial(_block_end, bound)
             self._slot_index = functools.partial(_block_index, bound)
+
+    def _slot(self, t: int) -> Tuple[Ordinal, Optional["OrdinalEmbedding"]]:
+        """(start, sub-embedding or None for a single point) of slot t."""
+        if t not in self._slots:
+            start = self._slot_end(t - 1) if t else Ordinal()
+            otype = left_subtract(start, self._slot_end(t))
+            self._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
+                otype, self._chain.cert(t, t + 1)))
+        return self._slots[t]
 
     def _path(self, alpha: Ordinal) -> tuple:
         """(chain, slot, sub-embedding or None) of each level alpha < bound
@@ -328,12 +335,7 @@ class OrdinalEmbedding:
         levels, emb, offset = [], self, alpha
         while emb is not None:
             t = emb._slot_index(offset)
-            if t not in emb._slots:
-                start = emb._slot_end(t - 1) if t else Ordinal()
-                otype = left_subtract(start, emb._slot_end(t))
-                emb._slots[t] = (start, None if otype == ONE else OrdinalEmbedding(
-                    otype, emb._chain.cert(t, t + 1)))
-            start, sub = emb._slots[t]
+            start, sub = emb._slot(t)
             levels.append((emb._chain, t, sub))
             emb, offset = sub, left_subtract(start, offset)
         path = self._paths[alpha] = tuple(levels)

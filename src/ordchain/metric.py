@@ -108,6 +108,7 @@ class MetricSpace:
         return Fraction(int(self._m[i, j]), self.scale)
 
     def precedes(self, d: int, e: int) -> bool:
+        self._check_points(d, e)
         return self.pos[d] < self.pos[e]
 
     def validate(self) -> Iterator[str]:
@@ -207,8 +208,9 @@ class ContChain:
             raise ValueError("truncation level must be a natural")
         self.space._check_points(d, x)
         top, scale = self.stable_level, self.space.scale
-        before = self.space.precedes(x, d)
-        d_pos = self.space.pos[d]
+        pos = self.space.pos
+        d_pos = pos[d]
+        before = pos[x] < d_pos                 # x precedes d
         head = int(sum(term[x] for center_pos, term in self._terms[:truncate]
                        if center_pos[x] < d_pos))
         if truncate is None:

@@ -675,11 +675,7 @@ def test_block_slots_match_reference():
                 and not bound.terms[0][0].is_zero():
             continue                        # a limit power: segments
         ends, slots = reference_blocks(bound)
-        # a path runs down to its notation's single-point slot, thousands of
-        # levels below some blocks w^e of infinite e (the paths took 0.6 s
-        # below the 123 bounds of finite exponents here, 177 s below all
-        # 300): the embedding is asked below those, the block rules below all
-        emb = OrdinalEmbedding(bound, default_interval()) if not nesting else None
+        emb = OrdinalEmbedding(bound, default_interval())
         order = list(range(len(ends)))
         if checked % 2:
             order.reverse()                 # ask for the last block first
@@ -690,16 +686,19 @@ def test_block_slots_match_reference():
             for d in (Ordinal(), sample_below(unit, rng)):
                 alpha = add(start, d)
                 assert _block_index(bound, alpha) == t
-                if emb is None:
+                assert emb._slot_index(alpha) == t
+                assert left_subtract(emb._slot(t)[0], alpha) == d
+                if nesting:
+                    # a path runs down to the single-point slot, thousands
+                    # of levels below some blocks w^e of infinite e
                     continue
                 (chain, slot, sub), *below = emb._path(alpha)
-                assert (chain, slot, sub) == (emb._chain, t, emb._slots[t][1])
+                assert (chain, slot, sub) == (emb._chain, t, emb._slot(t)[1])
                 # below the block, alpha's path is its offset d's in the block
                 assert tuple(below) == (() if sub is None else sub._path(d))
-            if emb is not None:
-                assert emb._slots[t][0] == start
-                assert (emb._slots[t][1] is None) == is_unit
-        assert emb is None or len(emb._slots) == len(ends)
+            assert emb._slots[t][0] == start
+            assert (emb._slots[t][1] is None) == is_unit
+        assert len(emb._slots) == len(ends)
         checked += 1
 
 

@@ -211,7 +211,7 @@ def test_point_indices_are_checked():
     # no word of the space
     ms = points_1d([F(0), F(3), F(5)], order=[2, 0, 1])
     chain = ContChain(ms)
-    for query in [ms.dist, chain.eval, chain.pair_failure]:
+    for query in [ms.dist, ms.precedes, chain.eval, chain.pair_failure]:
         for i, j, bad in [(-1, 0, -1), (0, -1, -1), (3, 0, 3), (0, 3, 3),
                           (-1, 7, -1)]:
             with pytest.raises(ValueError) as exc:
