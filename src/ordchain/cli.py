@@ -162,9 +162,8 @@ def cmd_cont(args) -> int:
             return USAGE_ERROR
         print(line)
     if args.check_all:
-        order = space.order
-        return _report((f"PAIR {d} {e}", chain.pair_failure(d, e))
-                       for pd, d in enumerate(order) for e in order[pd + 1:])
+        return _report((f"PAIR {d} {e}", reason)
+                       for d, e, reason in chain.verdicts())
     return 0
 
 

@@ -5,8 +5,9 @@ Each test prints one summary line, `CRITERION <k> PASS ...` or
 Tolerances: rational arithmetic is exact (no epsilon anywhere);
 certificate checks use depth 32; brute-force scans go to N = 10^4.
 Runtime bounds: criterion 1 under 10 s, criterion 4 under 30 s per
-ordinal, criterion 9 under 5 s of process CPU, criterion 10 under 3.5 s of
-child-process CPU.  Memory bound: criterion 11 under 65 MiB peak RSS.
+ordinal, criterion 9 under 5 s of process CPU, criteria 10 and 12 under
+3.5 s and 5 s of child-process CPU.  Memory bounds: criterion 11 under
+65 MiB and criterion 12 under 120 MiB peak RSS.
 """
 
 import os
@@ -34,7 +35,7 @@ from ordchain.ordinal import (LT, Ordinal, add, classify, compare,
                               fundamental_sequence, left_subtract,
                               parse_ordinal)
 from ordchain.sampling import sample_comparable_pairs
-from test_cli import MAIN, PEAK_KIB, run_fresh
+from test_cli import MAIN, MAIN_PEAK, PEAK_KIB, run_fresh
 from test_lazyset import member
 from test_metric import check_level
 from test_ordinal import random_notation
@@ -277,18 +278,22 @@ def test_criterion_8_ordinal_algebra(announce):
                           f"({bad} violations)")
 
 
-def test_criterion_9_large_space_check_all(announce, capsys, tmp_path):
-    # point i at i/8 on a line, in a shuffled order: the pairwise check of
-    # the whole chain, 114,960 pairs, through the command line
+def write_line_space(path, n):
+    """The space of the points i/8, i < n, on a line, in a shuffled order."""
     rng = random.Random(109)
-    n = 480
     order = list(range(n))
     rng.shuffle(order)
     lines = [f"points {n}"]
     lines += [f"dist {i} {j} {j - i}/8" for i in range(n) for j in range(i + 1, n)]
     lines.append("order " + " ".join(map(str, order)))
-    path = tmp_path / "line480.space"
     path.write_text("\n".join(lines) + "\n")
+
+
+def test_criterion_9_large_space_check_all(announce, capsys, tmp_path):
+    # point i at i/8 on a line, in a shuffled order: the pairwise check of
+    # the whole chain, 114,960 pairs, through the command line
+    path = tmp_path / "line480.space"
+    write_line_space(path, 480)
     start = time.process_time()
     status = cli.main(["cont", "--space", str(path), "--check-all"])
     elapsed = time.process_time() - start
@@ -298,27 +303,54 @@ def test_criterion_9_large_space_check_all(announce, capsys, tmp_path):
                     f"exit {status}, {elapsed:.2f}s CPU")
 
 
-def test_criterion_10_long_split_chain(announce, tmp_path):
-    # 2,001 certificates along z_1 ⊂* z_2 ⊂* ..., each proved with one walk
-    # of z_k's union tree.  A new interpreter, as in `run_fresh`: facts kept
-    # on interned nodes by earlier tests would make the time depend on test
-    # order.  The run prints about 76 MB, to a file.
-    out = tmp_path / "split2000.out"
+def run_to_file(out, code, *argv):
+    """Run the CLI (`code`) in a new interpreter, as `run_fresh` does, with
+    stdout to the file `out`: (exit code, last line of stdout, child CPU
+    seconds, stderr)."""
     src = str(Path(ordchain.__file__).resolve().parents[1])
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     with open(out, "w") as stdout:
-        status = subprocess.run(
-            [sys.executable, "-c", MAIN, "split", "--count", "2000"],
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
             env=dict(os.environ, PYTHONPATH=src), stdout=stdout,
-            stderr=subprocess.DEVNULL, timeout=120).returncode
+            stderr=subprocess.PIPE, text=True, timeout=120)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     elapsed = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     with open(out, "rb") as f:
         f.seek(max(f.seek(0, os.SEEK_END) - 200, 0))
         tally = f.read().decode().splitlines()[-1]
+    return proc.returncode, tally, elapsed, proc.stderr
+
+
+def test_criterion_10_long_split_chain(announce, tmp_path):
+    # 2,001 certificates along z_1 ⊂* z_2 ⊂* ..., each proved with one walk
+    # of z_k's union tree.  A new interpreter, as in `run_fresh`: facts kept
+    # on interned nodes by earlier tests would make the time depend on test
+    # order.  The run prints about 76 MB, to a file.
+    status, tally, elapsed, _ = run_to_file(tmp_path / "split2000.out", MAIN,
+                                            "split", "--count", "2000")
     ok = status == 0 and tally == "CHECKED 2001 FAILED 0" and elapsed < 3.5
     announce(10, ok, f"split --count 2000 in a new interpreter: {tally}, "
                      f"exit {status}, {elapsed:.2f}s CPU")
+
+
+def test_criterion_12_larger_space_check_all_in_bounded_memory(announce, tmp_path):
+    # criterion 9's space on 960 points, 460,320 pairs, in a new
+    # interpreter.  On 2 vCPUs of a shared host it took 5.9-7.6 s CPU at
+    # 190 MiB when the reader kept a dict of pairs and monotonicity was
+    # read off an O(n^3) matrix, and takes 2.3-3.0 s at 86 MiB with
+    # int64 columns and O(n^2) verdicts
+    path = tmp_path / "line960.space"
+    write_line_space(path, 960)
+    status, tally, elapsed, err = run_to_file(
+        tmp_path / "line960.out", MAIN_PEAK, "cont", "--space", str(path),
+        "--check-all")
+    mib = int(err.split()[-1]) / 1024
+    ok = (status == 0 and tally == "CHECKED 460320 FAILED 0"
+          and elapsed < 5 and mib < 120)
+    announce(12, ok, f"960-point chain through cont --check-all in a new "
+                     f"interpreter: {tally}, exit {status}, "
+                     f"{elapsed:.2f}s CPU, peak RSS {mib:.1f} MiB")
 
 
 # 100 embed jobs in one interpreter, each on a bound no other job asks about;

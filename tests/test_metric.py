@@ -3,6 +3,7 @@ evaluation, witnesses, and the space-file format."""
 
 import copy
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
@@ -526,6 +527,21 @@ def test_validate_matches_reference_on_broken_spaces(dims, dens):
         assert list(MetricSpace(n, as_pairs(dists), order).validate()) == expected
 
 
+@pytest.mark.parametrize("block_bytes", [1, 4 * 8 * 8 * 3])
+def test_validate_block_by_block_matches_reference(monkeypatch, block_bytes):
+    # one row, or three rows of 8 points summed in int32, at a time:
+    # faults with j below the block are left out until one shows, and must
+    # all be listed then
+    monkeypatch.setattr(metric, "_BLOCK_BYTES", block_bytes)
+    rng = random.Random(83)
+    for _ in range(12):
+        n, dists, order = broken_space_inputs(rng, rng.choice([1, 2]), (1, 2, 4, 8))
+        expected = list(Reference(n, dists, order).validate())
+        assert list(MetricSpace(n, as_pairs(dists), order).validate()) == expected
+    n, dists, order = space_inputs(rng, 8, 2, (3, 7, 9))
+    assert list(MetricSpace(n, as_pairs(dists), order).validate()) == []
+
+
 def test_first_fault_is_raised_without_listing_the_rest():
     # random distances break the triangle rule 158,464 times on 100 points:
     # ContChain raises the first fault and lists none of the others, so its
@@ -558,6 +574,49 @@ def test_pair_failure_matches_reference():
                 expected = ("monotonicity" if any(a > b for a, b in zip(fd, fe))
                             else "strictness" if not fd[d] < fe[d] else None)
                 assert chain.pair_failure(d, e) == expected
+
+
+def expected_verdicts(chain):
+    order = chain.space.order
+    return [(d, e, chain.pair_failure(d, e))
+            for a, d in enumerate(order) for e in order[a + 1:]]
+
+
+def test_verdicts_match_pair_failure():
+    # valid chains, where every consecutive pair holds and no row is
+    # compared with another, and tables made to break one consecutive pair
+    # (monotonicity, so rows are compared pair by pair), one strictness
+    # only, or anything at random
+    rng = random.Random(89)
+    seen = Counter()
+    for trial in range(40):
+        n, dists, order = space_inputs(rng, rng.randint(2, 12), rng.choice([1, 2]),
+                                       rng.choice([(1, 2, 4, 8), (3, 7, 9)]))
+        chain = ContChain(MetricSpace(n, as_pairs(dists), order))
+        table = chain._table.copy()
+        a = rng.randrange(n - 1)
+        d, e = order[a], order[a + 1]
+        if trial % 4 == 1:          # f_d above f_e at one point
+            x = rng.randrange(n)
+            table[d, x] = table[e, x] + 1
+        elif trial % 4 == 2:        # f_e = f_d: strict nowhere
+            table[e] = table[d]
+        elif trial % 4 == 3:
+            for _ in range(rng.randint(1, n)):
+                table[rng.randrange(n), rng.randrange(n)] += rng.choice([-3, -1, 1, 3])
+        chain._table = table
+        verdicts = list(chain.verdicts())
+        assert verdicts == expected_verdicts(chain)
+        steps = [reason for d, e, reason in verdicts
+                 if order.index(e) == order.index(d) + 1]
+        if trial % 4 == 0:
+            assert set(steps) == {None}
+        elif trial % 4 == 1:
+            assert steps.count("monotonicity") == 1
+        elif trial % 4 == 2:
+            assert steps.count("strictness") == 1 and "monotonicity" not in steps
+        seen.update(reason for _, _, reason in verdicts)
+    assert set(seen) == {None, "monotonicity", "strictness"}, seen
 
 
 def test_truncated_eval_far_beyond_stable_level():
@@ -686,13 +745,19 @@ def line_pairs(den, *points):
 # Points 0, 1 and D: 2 * max |L * d| = 2D against 2^63.  Points 0, k/2^30
 # and 1 over L = 2^30: k = 4 gives S = 30 and L * 2^(S+2) = 2^62, while
 # k = 2 gives S = 31 and 2^63.  The last space is just below on both axes,
-# and its far pairs shifted left by S would pass 2^63.
+# and its far pairs shifted left by S would pass 2^63.  The two equilateral
+# spaces sit on validate's int32 line: sides 2^30 - 1 are summed in int32,
+# while sides 2^30 sum to 2^31 and stay in int64.
 LIMIT_SPACES = [
     pytest.param(line_pairs(1, 0, 1, 2 ** 62 - 1), np.int64, id="distance-below"),
     pytest.param(line_pairs(1, 0, 1, 2 ** 62), object, id="distance-above"),
     pytest.param(line_pairs(2 ** 30, 0, 4, 2 ** 30), np.int64, id="least-below"),
     pytest.param(line_pairs(2 ** 30, 0, 2, 2 ** 30), object, id="least-above"),
     pytest.param(line_pairs(2 ** 30, 0, 4, 2 ** 61), np.int64, id="both-below"),
+    pytest.param(dict.fromkeys([(0, 1), (0, 2), (1, 2)], (2 ** 30 - 1, 1)), np.int64,
+                 id="sums-below-int32"),
+    pytest.param(dict.fromkeys([(0, 1), (0, 2), (1, 2)], (2 ** 30, 1)), np.int64,
+                 id="sums-at-int32"),
 ]
 
 
@@ -814,6 +879,170 @@ def test_parsed_text_matches_reference():
                     assert chain.eval(d, x, truncate=N) == ref.eval(d, x, N)
     assert set(seen) == {"symmetry", "nonnegativity", "identity", "triangle",
                          "valid"}, seen
+
+
+def read_outcome(read, text):
+    """What `read` makes of `text`: the fields of the space it builds, or
+    the type and text of what it raises."""
+    try:
+        ms = read(text)
+    except (SpaceParseError, MetricAxiomError) as exc:
+        return type(exc), str(exc)
+    return (ms.n, ms.order, ms.pos, ms.scale, ms.stable_level, ms._m.dtype,
+            ms._m.tolist(), ms._rows.tolist(), ms._cols.tolist())
+
+
+def assert_read_as_lines(text):
+    assert read_outcome(parse_space, text) == read_outcome(metric._read_lines, text)
+
+
+def test_random_texts_read_as_the_line_loop_reads_them():
+    rng = random.Random(97)
+    plain = 0
+    for _ in range(200):
+        text = random_space_text(rng)
+        plain += metric._read_plain(text) is not None
+        assert_read_as_lines(text)
+    assert plain, "no text of the corpus is plain"
+
+
+def plain_lines(rng):
+    """The lines of a plain space file: each pair once, either way round,
+    in shuffled order, its value written as `fraction_text` writes it, and
+    now and then a distance made zero, negative or three times larger; or
+    distances over 18-digit denominators whose lcm passes the int64 limit,
+    or over one denominator 2^59, where L * 2^(S+2) passes it."""
+    kind = rng.choice(["small", "small", "small", "wide", "deep"])
+    if kind == "small":
+        n, dists, order = space_inputs(rng, rng.randint(0, 9), rng.choice([1, 2]),
+                                       rng.choice([(1, 2, 4, 8), (3, 7, 9)]))
+        if rng.random() < 0.3 and dists:
+            key = rng.choice(list(dists))
+            dists[key] = rng.choice([F(0), -dists[key], dists[key] * 3])
+        values = {key: fraction_text(rng, v) for key, v in dists.items()}
+    else:
+        dens = ([999999999999999989, 999999999999999877, 999999999999999863]
+                if kind == "wide" else [2 ** 59])
+        n = rng.randint(2, 5)
+        points = sorted(rng.sample(range(1, 10 ** 5), n))
+        den = {(i, j): rng.choice(dens) for i in range(n) for j in range(i + 1, n)}
+        scale = 10 ** 12 if kind == "wide" else 1
+        values = {key: f"{(points[key[1]] - points[key[0]]) * scale}/{den[key]}"
+                  for key in den}
+        order = list(range(n))
+        rng.shuffle(order)
+    lines = [f"dist {i} {j} {v}" if rng.random() < 0.5 else f"dist {j} {i} {v}"
+             for (i, j), v in values.items()]
+    rng.shuffle(lines)
+    return [f"points {n}", *lines, " ".join(["order", *map(str, order)])]
+
+
+def numeral_positions(lines):
+    """(line index, start, end) of each numeral on the dist lines."""
+    return [(k, m.start(), m.end()) for k, line in enumerate(lines)
+            if line.startswith("dist ") for m in re.finditer(r"[0-9]+", line)]
+
+
+def edit_numeral(rng, lines, edit):
+    """The lines with one numeral of a dist line rewritten by `edit`."""
+    places = numeral_positions(lines)
+    if not places:
+        return lines
+    k, start, end = rng.choice(places)
+    line = lines[k]
+    return lines[:k] + [line[:start] + edit(line[start:end]) + line[end:]] + lines[k + 1:]
+
+
+def dist_lines(lines):
+    return [k for k, line in enumerate(lines) if line.startswith("dist ")]
+
+
+def repeat_pair(rng, lines, value, in_place=False):
+    """The lines with one dist line given again, either way round, with
+    the value `value` makes of its (p, q): at the end of the dist lines,
+    or in place of another dist line, so that their number holds."""
+    places = dist_lines(lines)
+    if len(places) < 2:
+        return lines
+    k, other = rng.sample(places, 2)
+    _, i, j, frac = lines[k].split()
+    p, q = map(int, frac.split("/"))
+    extra = f"dist {j} {i} {value(p, q)}"
+    if in_place:
+        return lines[:other] + [extra] + lines[other + 1:]
+    return lines[:-1] + [extra] + lines[-1:]
+
+
+def set_field(rng, lines, field, value):
+    """The lines with field `field` (1 = i, 2 = j, 3 = the fraction) of one
+    dist line replaced by what `value` makes of the line's fields."""
+    k = rng.choice(dist_lines(lines) or [None])
+    if k is None:
+        return lines
+    fields = lines[k].split()
+    fields[field] = str(value(fields))
+    return lines[:k] + [" ".join(fields)] + lines[k + 1:]
+
+
+# Each takes (rng, lines) and gives the lines or the text of a file that is
+# not plain, or that a check of the plain reader refuses.
+MUTATIONS = {
+    "comment": lambda rng, lines: lines[:1] + ["# a comment"] + lines[1:],
+    "comment-last": lambda rng, lines: lines + ["# trailing"],
+    "blank": lambda rng, lines: lines[:2] + [""] + lines[2:],
+    "crlf": lambda rng, lines: "\r\n".join(lines) + "\r\n",
+    "tab": lambda rng, lines: [lines[0].replace(" ", "\t")] + lines[1:],
+    "trailing-space": lambda rng, lines: lines[:-1] + [lines[-1] + " "],
+    "plus": lambda rng, lines: edit_numeral(rng, lines, lambda s: "+" + s),
+    "underscore": lambda rng, lines: edit_numeral(
+        rng, lines, lambda s: s[0] + "_" + s[1:] if len(s) > 1 else s + "_0"),
+    "arabic-indic": lambda rng, lines: edit_numeral(
+        rng, lines, lambda s: s[:-1] + chr(0x660 + int(s[-1]))),
+    "19-digits": lambda rng, lines: edit_numeral(rng, lines, lambda s: s.zfill(19)),
+    "19-digit-value": lambda rng, lines: edit_numeral(
+        rng, lines, lambda s: str(int(s) + 10 ** 18)),
+    "dist-before-points": lambda rng, lines: (
+        lines[1:2] + lines[:1] + lines[2:] if len(lines) > 2 else lines),
+    "repeat-equal": lambda rng, lines: repeat_pair(
+        rng, lines, lambda p, q: f"{-2 * p}/{-2 * q}"),
+    "repeat-conflicting": lambda rng, lines: repeat_pair(
+        rng, lines, lambda p, q: f"{p + q}/{q}"),
+    "repeat-in-place": lambda rng, lines: repeat_pair(
+        rng, lines, lambda p, q: f"{p}/{q}", in_place=True),
+    "i-equals-j": lambda rng, lines: set_field(rng, lines, 2, lambda f: f[1]),
+    "zero-denominator": lambda rng, lines: set_field(
+        rng, lines, 3, lambda f: f[3].split("/")[0] + "/0"),
+    "out-of-range": lambda rng, lines: set_field(
+        rng, lines, 1, lambda f: lines[0].split()[1]),
+    "missing-pair": lambda rng, lines: [
+        line for k, line in enumerate(lines) if k != (dist_lines(lines) or [-1])[0]],
+    "order-repeats": lambda rng, lines: lines[:-1] + [
+        " ".join(lines[-1].split()[:-1] + lines[-1].split()[1:2])],
+    "order-short": lambda rng, lines: lines[:-1] + [
+        " ".join(lines[-1].split()[:-1])],
+    "order-twice": lambda rng, lines: lines + lines[-1:],
+    "points-twice": lambda rng, lines: lines[:1] + lines,
+}
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+def test_plain_texts_read_as_the_line_loop_reads_them(name):
+    # a plain text, with or without its last line end, and its mutation
+    # each give what the line loop alone gives: the same space, or the
+    # same error; a mutated text never gets past the plain reader
+    rng = random.Random(f"plain-{name}")
+    for _ in range(30):
+        lines = plain_lines(rng)
+        text = "\n".join(lines) + "\n"
+        for plain in (text, text[:-1]):
+            assert metric._read_plain(plain) is not None
+            assert_read_as_lines(plain)
+        mutated = MUTATIONS[name](rng, lines)
+        if isinstance(mutated, list):
+            mutated = "\n".join(mutated) + "\n"
+        if mutated != text:
+            assert metric._read_plain(mutated) is None, mutated
+        assert_read_as_lines(mutated)
 
 
 def test_format_eval():
